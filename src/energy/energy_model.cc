@@ -17,15 +17,11 @@ computeEnergy(const EnergyParams& p, Cycle cycles,
     double fetched = c("fetched");
     double dispatched = c("dispatched");
     double issued = c("issued");
-    double loads_stores =
-        c("stores_drained") + c("issued") * 0.0; // loads counted below
     // Loads and stores both pass through the LSQ/D$ pipe.
     double mem_ops = c("load_l1_misses") + c("stl_forwards") +
                      c("stores_drained");
-    // All issued loads access the D$; approximate via issue-class breakdown
-    // kept in 'issued' minus nothing — use dispatched loads via LDQ stats
-    // if present; fall back to a fraction of issued.
-    (void)loads_stores;
+    // Issued loads also access the D$; approximated as a fixed fraction
+    // of all issued instructions.
     double dcache_ops = mem_ops + issued * 0.15;
 
     double mispredicts = c("branch_mispredicts");

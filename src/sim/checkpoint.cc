@@ -378,12 +378,9 @@ CkptReader::readHeader()
         fail("bad magic, not a PFM checkpoint");
     CkptHeader h;
     h.version = rawU32("header version");
-    if (h.version < kCkptMinReadVersion || h.version > kCkptFormatVersion)
+    if (h.version != kCkptFormatVersion)
         fail("format version " + std::to_string(h.version) +
-             " != supported versions " +
-             std::to_string(kCkptMinReadVersion) + "-" +
-             std::to_string(kCkptFormatVersion));
-    mode_ = h.version == 2 ? Mode::kImageV2 : Mode::kImageV3;
+             " != supported version " + std::to_string(kCkptFormatVersion));
     h.fingerprint = rawU64("header fingerprint");
     h.workload = rawString("header workload");
     h.component = rawString("header component");
@@ -464,11 +461,8 @@ CkptReader::beginSection(const std::string& name)
     std::uint64_t stored_len = rawU64("section length");
     std::uint32_t crc = rawU32("section CRC");
     std::uint8_t flags = 0;
-    std::uint64_t raw_len = stored_len;
-    if (mode_ == Mode::kImageV3) {
-        rawBytes(&flags, 1, "section flags");
-        raw_len = rawU64("section raw length");
-    }
+    rawBytes(&flags, 1, "section flags");
+    std::uint64_t raw_len = rawU64("section raw length");
     if (stored_len > size_ - pos_)
         fail("truncated payload (" + std::to_string(stored_len) +
              " bytes declared, " + std::to_string(size_ - pos_) +

@@ -6,13 +6,12 @@
  *
  *   header:  magic u64 | format version u32 | config fingerprint u64 |
  *            workload string | component string | retired-at-save u64
- *   section (v2): name string | payload length u64 | CRC32 u32 | payload
- *   section (v3): name string | stored length u64 | CRC32 u32 (of stored
- *                 bytes) | flags u8 | raw length u64 | stored bytes
+ *   section: name string | stored length u64 | CRC32 u32 (of stored
+ *            bytes) | flags u8 | raw length u64 | stored bytes
  *   ...      (sections in a fixed order; the reader names the section it
  *             expects, so an order mismatch is caught by name)
  *
- * v3 sections are self-describing: flags bit 0 marks the stored bytes as
+ * Sections are self-describing: flags bit 0 marks the stored bytes as
  * lz-compressed (common/lz.h); with it clear, stored == raw and the
  * reader serves the payload in place from the mmap — the zero-copy fast
  * path plain images keep by default. The writer can also save in *store*
@@ -27,8 +26,8 @@
  *                           raw CRC32 u32 | flags u8 | stored length u64 }
  *             | manifest CRC32 u32 (over everything before it)
  *
- * CkptReader dispatches on the leading magic and serves all three
- * layouts (v2 image, v3 image, manifest) behind one section API.
+ * CkptReader dispatches on the leading magic and serves both layouts
+ * (image, manifest) behind one section API.
  *
  * Strings are u32 length + bytes. Every multi-byte value is host-endian;
  * checkpoints are an intra-machine hand-off between sweep legs, not an
@@ -58,18 +57,11 @@
 namespace pfm {
 
 /**
- * Bump on any layout change; readers reject versions outside
- * [kCkptMinReadVersion, kCkptFormatVersion]. The writer always emits the
- * current version.
- * v2: agent queues serialize through TimedPort (payload + avail + pushed
- * stamps per entry); packets no longer carry their own avail field.
- * v3: section framing gains flags + raw-length fields (per-section
+ * Bump on any layout change; readers reject every other version.
+ * v3: section framing carries flags + raw-length fields (per-section
  * compression); adds the content-addressed manifest layout.
  */
 constexpr std::uint32_t kCkptFormatVersion = 3;
-
-/** Oldest image version still readable (v2 section payloads unchanged). */
-constexpr std::uint32_t kCkptMinReadVersion = 2;
 
 /**
  * Compression policy from the PFM_CKPT_COMPRESS env knob: "0" never,
@@ -312,7 +304,7 @@ class CkptReader
 
   private:
     /** Layout found behind the leading magic, set by readHeader(). */
-    enum class Mode { kImageV2, kImageV3, kManifest };
+    enum class Mode { kImage, kManifest };
 
     /** One parsed manifest entry, consumed in order by beginSection(). */
     struct ManifestEntry {
@@ -349,7 +341,7 @@ class CkptReader
     std::size_t size_ = 0;
     std::size_t pos_ = 0;          ///< cursor into data_
 
-    Mode mode_ = Mode::kImageV2;
+    Mode mode_ = Mode::kImage;
     std::vector<ManifestEntry> entries_; ///< manifest mode only
     std::size_t next_entry_ = 0;
     std::string store_dir_;              ///< resolved blob directory

@@ -491,19 +491,16 @@ inspectCkptFile(const std::string& path)
     if (!c.get(img.version) || !c.get(u64) || !c.getString(s) ||
         !c.getString(s) || !c.get(u64))
         return info;
-    if (img.version != 2 && img.version != 3)
+    if (img.version != kCkptFormatVersion)
         return info;
     while (c.off < c.n) {
         std::uint64_t stored_len;
         std::uint32_t crc;
-        if (!c.getString(s) || !c.get(stored_len) || !c.get(crc))
+        std::uint8_t flags;
+        std::uint64_t raw_len;
+        if (!c.getString(s) || !c.get(stored_len) || !c.get(crc) ||
+            !c.get(flags) || !c.get(raw_len))
             return info;
-        std::uint64_t raw_len = stored_len;
-        if (img.version >= 3) {
-            std::uint8_t flags;
-            if (!c.get(flags) || !c.get(raw_len))
-                return info;
-        }
         if (!c.skip(static_cast<std::size_t>(stored_len)))
             return info;
         img.logical_bytes += raw_len;

@@ -126,7 +126,7 @@ struct CkptBlobRef {
 /**
  * What a checkpoint file costs, for cache accounting. file_bytes is the
  * manifest or image itself; logical_bytes is the uncompressed payload
- * total a v2 whole image would have held; blobs lists referenced store
+ * total a raw whole image would have held; blobs lists referenced store
  * files (empty for plain images, whose bytes are all in file_bytes).
  */
 struct CkptFileInfo {

@@ -1,5 +1,6 @@
 #include "sim/options.h"
 
+#include <cctype>
 #include <cerrno>
 #include <cstdlib>
 #include <limits>
@@ -11,24 +12,37 @@ namespace pfm {
 namespace {
 
 /**
- * Parse the numeric field of a parameter token. The whole field must be
- * decimal digits — an empty or partially-numeric field aborts with a
- * diagnostic naming the full offending token (never an uncaught
- * std::invalid_argument out of std::stoul).
+ * Strict unsigned parse shared by every numeric knob: all of @p text must
+ * be one number in @p base (0 keeps strtoull's 0x/octal prefixes) no
+ * larger than @p max. Anything else — empty, a sign, leading space,
+ * trailing junk, overflow — aborts with a diagnostic naming the value and
+ * @p where it came from.
  */
+std::uint64_t
+parseNumber(const std::string& text, int base, const std::string& where,
+            std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+{
+    // strtoull alone would skip leading space and negate a '-' sign.
+    if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
+        pfm_fatal("bad number '%s' in %s", text.c_str(), where.c_str());
+    char* end = nullptr;
+    errno = 0;
+    unsigned long long v = std::strtoull(text.c_str(), &end, base);
+    if (*end != '\0')
+        pfm_fatal("bad number '%s' in %s", text.c_str(), where.c_str());
+    if (errno == ERANGE || v > max)
+        pfm_fatal("number '%s' out of range in %s", text.c_str(),
+                  where.c_str());
+    return v;
+}
+
+/** The decimal numeric field of a parameter token, e.g. "8" of "queue8". */
 unsigned
 tokenNumber(const std::string& token, const std::string& digits)
 {
-    if (digits.empty() ||
-        digits.find_first_not_of("0123456789") != std::string::npos)
-        pfm_fatal("bad number '%s' in parameter token '%s'", digits.c_str(),
-                  token.c_str());
-    errno = 0;
-    unsigned long v = std::strtoul(digits.c_str(), nullptr, 10);
-    if (errno == ERANGE || v > std::numeric_limits<unsigned>::max())
-        pfm_fatal("number '%s' out of range in parameter token '%s'",
-                  digits.c_str(), token.c_str());
-    return static_cast<unsigned>(v);
+    return static_cast<unsigned>(
+        parseNumber(digits, 10, "parameter token '" + token + "'",
+                    std::numeric_limits<unsigned>::max()));
 }
 
 /**
@@ -89,17 +103,9 @@ applyToken(SimOptions& opt, const std::string& token)
         return;
     }
     if (token.rfind("ctx", 0) == 0) {
-        // Keep strtoull's 0x/octal prefixes but reject garbage (the old
-        // parse silently read "ctxfoo" as interval 0, i.e. disabled).
-        const std::string digits = token.substr(3);
-        char* end = nullptr;
-        errno = 0;
-        std::uint64_t v = std::strtoull(digits.c_str(), &end, 0);
-        if (digits.empty() || end == digits.c_str() || *end != '\0' ||
-            errno == ERANGE)
-            pfm_fatal("bad number '%s' in parameter token '%s'",
-                      digits.c_str(), token.c_str());
-        opt.pfm.context_switch_interval = v;
+        // Keeps strtoull's 0x/octal prefixes: "ctx0x100".
+        opt.pfm.context_switch_interval = parseNumber(
+            token.substr(3), 0, "parameter token '" + token + "'");
         return;
     }
     if (token == "nonstall") {
@@ -166,7 +172,7 @@ std::uint64_t
 defaultInstructionBudget()
 {
     if (const char* env = std::getenv("PFM_INSTRUCTIONS"))
-        return std::strtoull(env, nullptr, 0);
+        return parseNumber(env, 0, "PFM_INSTRUCTIONS");
     return 3'000'000;
 }
 
@@ -180,16 +186,17 @@ parseCommandLine(int argc, char** argv)
         auto value = [&arg](const char* prefix) -> std::string {
             return arg.substr(std::string(prefix).size());
         };
+        auto count = [&arg, &value](const char* prefix) {
+            return parseNumber(value(prefix), 0, "'" + arg + "'");
+        };
         if (arg.rfind("--workload=", 0) == 0) {
             opt.workload = value("--workload=");
         } else if (arg.rfind("--component=", 0) == 0) {
             opt.component = value("--component=");
         } else if (arg.rfind("--instructions=", 0) == 0) {
-            opt.max_instructions =
-                std::strtoull(value("--instructions=").c_str(), nullptr, 0);
+            opt.max_instructions = count("--instructions=");
         } else if (arg.rfind("--warmup=", 0) == 0) {
-            opt.warmup_instructions =
-                std::strtoull(value("--warmup=").c_str(), nullptr, 0);
+            opt.warmup_instructions = count("--warmup=");
         } else if (arg.rfind("--trace=", 0) == 0) {
             opt.trace_path = value("--trace=");
         } else if (arg.rfind("--record-trace=", 0) == 0) {

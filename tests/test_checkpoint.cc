@@ -9,12 +9,10 @@
  * identical stat dumps. Corruption tests: every malformed checkpoint
  * (truncated, bit-flipped, wrong version, reordered sections, trailing
  * garbage, config drift) dies through pfm_fatal naming the checkpoint and
- * the offending section — never a crash or a silent misload. Checked-in
- * fixtures pin the on-disk formats: astar_bare_v3.{ckpt,digest} track the
- * current writer (regenerate with PFM_REGEN_FIXTURES=1 on a format bump),
- * while astar_bare_v2.{ckpt,digest} are frozen — the writer can no longer
- * produce v2, so that pair pins read-back compatibility and is never
- * rewritten. (Store-mode coverage lives in test_ckpt_store.cc.)
+ * the offending section — never a crash or a silent misload. The
+ * checked-in astar_bare_v3.{ckpt,digest} fixture pins the on-disk format
+ * of the current writer (regenerate with PFM_REGEN_FIXTURES=1 on a format
+ * bump). (Store-mode coverage lives in test_ckpt_store.cc.)
  */
 
 #include <gtest/gtest.h>
@@ -544,14 +542,19 @@ TEST(CheckpointDeathTest, FlippedPayloadByteIsFatalWithSectionName)
 
 TEST(CheckpointDeathTest, WrongVersionTagIsFatal)
 {
-    const std::string path = saveSmallCheckpoint("ckpt_ver.ckpt");
-    std::vector<unsigned char> bytes = readFile(path);
-    // Format version u32 sits right after the u64 magic.
-    bytes[8] = 0x63; // version 99
-    writeFile(path, bytes);
-    EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
-                "format version 99 != supported version");
-    std::remove(path.c_str());
+    // 99: from the future. 2: the retired pre-compression layout.
+    for (unsigned char version : {99, 2}) {
+        SCOPED_TRACE(static_cast<int>(version));
+        const std::string path = saveSmallCheckpoint("ckpt_ver.ckpt");
+        std::vector<unsigned char> bytes = readFile(path);
+        // Format version u32 sits right after the u64 magic.
+        bytes[8] = version;
+        writeFile(path, bytes);
+        EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
+                    "format version " + std::to_string(version) +
+                        " != supported version 3");
+        std::remove(path.c_str());
+    }
 }
 
 TEST(CheckpointDeathTest, BadMagicIsFatal)
@@ -803,21 +806,9 @@ checkFixtureDigest(const std::string& fixture,
     is >> expected;
     // A mismatch means the simulator's measured-phase behaviour or the
     // checkpoint format changed. If intentional: bump kCkptFormatVersion
-    // when the *format* changed, and regenerate the current-version
-    // fixture pair with PFM_REGEN_FIXTURES=1 (frozen back-compat fixtures
-    // are never rewritten — their digest breaking means the *reader*
-    // regressed).
+    // when the *format* changed, and regenerate the fixture pair with
+    // PFM_REGEN_FIXTURES=1.
     EXPECT_EQ(expected, digest);
-}
-
-TEST(Checkpoint, GoldenFixtureReportDigest)
-{
-    // The v2 fixture is frozen: the writer only emits v3 now, so this
-    // pair can never be regenerated — it pins v2 read-back compatibility
-    // forever. PFM_REGEN_FIXTURES deliberately does not touch it.
-    const std::string dir = PFM_FIXTURES_DIR;
-    checkFixtureDigest(dir + "/astar_bare_v2.ckpt",
-                       dir + "/astar_bare_v2.digest", false);
 }
 
 TEST(Checkpoint, GoldenFixtureReportDigestV3)

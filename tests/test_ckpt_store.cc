@@ -6,7 +6,8 @@
  * collisions). The identity property mirrors test_checkpoint.cc's: a
  * restore from the compressed+deduped store must be indistinguishable —
  * same SimResult, byte-identical stat dumps — from a restore of a plain
- * whole-image checkpoint, across the same 9-config matrix.
+ * whole-image checkpoint, across the same 9-config matrix and an 8-leg
+ * lbm farm whose shared warmups must dedup at least 5x.
  */
 
 #include <gtest/gtest.h>
@@ -436,6 +437,8 @@ struct CkConfig {
     const char* tokens;
     std::uint64_t warmup;
     bool fastfwd;
+    /** Warm up bare; the component attaches at the warmup boundary. */
+    bool defer = false;
 };
 
 /** Same 9-config spread test_checkpoint.cc pins plain round-trips on. */
@@ -454,12 +457,30 @@ const CkConfig kConfigs[] = {
     {"leslie_pf_ff_nol1pf", "leslie", "auto", "noL1pf", 6000, true},
 };
 
+/**
+ * The per-config farm save pattern: eight deferred lbm prefetcher legs
+ * over two warmup lengths, each saving its own bare warmup. Within one
+ * length the warmup state is identical, so the store keeps one blob set
+ * per length plus a small manifest per leg.
+ */
+const std::vector<CkConfig> kLbmFarm = {
+    {"farm_0", "lbm", "auto", "clk4_w4 delay0", 6000, true, true},
+    {"farm_1", "lbm", "auto", "clk4_w4 delay8", 6000, true, true},
+    {"farm_2", "lbm", "auto", "clk8_w1 delay0", 6000, true, true},
+    {"farm_3", "lbm", "auto", "clk8_w1 delay8", 6000, true, true},
+    {"farm_4", "lbm", "auto", "clk4_w4 delay0 queue8", 12000, true, true},
+    {"farm_5", "lbm", "auto", "clk4_w4 delay0 queue32", 12000, true, true},
+    {"farm_6", "lbm", "auto", "clk8_w1 delay8 portLS1", 12000, true, true},
+    {"farm_7", "lbm", "auto", "clk4_w4 delay0 portALL", 12000, true, true},
+};
+
 SimOptions
 ckOptions(const CkConfig& cfg)
 {
     SimOptions o;
     o.workload = cfg.workload;
     o.component = cfg.component;
+    o.defer_component = cfg.defer;
     o.warmup_instructions = cfg.warmup;
     o.max_instructions = 24'000;
     o.fastfwd = cfg.fastfwd;
@@ -468,34 +489,52 @@ ckOptions(const CkConfig& cfg)
     return o;
 }
 
-TEST(CkptStore, StoreRestoreMatchesPlainRestoreAcrossConfigs)
+/** The warmup-only leg that saves @p cfg's checkpoint. */
+SimOptions
+ckSaveOptions(const CkConfig& cfg)
 {
-    for (const CkConfig& cfg : kConfigs) {
+    CkConfig warm = cfg;
+    if (cfg.defer) {
+        warm.component = "none";
+        warm.tokens = "";
+        warm.defer = false;
+    }
+    SimOptions o = ckOptions(warm);
+    o.max_instructions = 0;
+    return o;
+}
+
+/**
+ * Saves every leg of @p farm twice — as a plain whole image and, through
+ * one store shared by the farm, as a manifest — then restores each leg
+ * from both and expects the same SimResult and byte-identical stat
+ * dumps. Returns plain bytes / store bytes (manifests plus blobs).
+ */
+double
+expectStoreMatchesPlain(const std::string& farm_name,
+                        const std::vector<CkConfig>& farm)
+{
+    const std::string subdir = "ckpt_ss_" + farm_name + "_blobs";
+    std::uint64_t plain_bytes = 0;
+    std::uint64_t store_bytes = 0;
+    for (const CkConfig& cfg : farm) {
         SCOPED_TRACE(cfg.name);
         const std::string plain =
             tmpPath(std::string("ckpt_sp_") + cfg.name + ".ckpt");
         const std::string via_store =
             tmpPath(std::string("ckpt_ss_") + cfg.name + ".ckpt");
-        const std::string subdir =
-            std::string("ckpt_ss_") + cfg.name + "_blobs";
 
-        SimOptions save_plain = ckOptions(cfg);
+        SimOptions save_plain = ckSaveOptions(cfg);
         save_plain.checkpoint_save = plain;
-        save_plain.max_instructions = 0;
         Simulator(save_plain).run();
 
-        SimOptions save_store = ckOptions(cfg);
+        SimOptions save_store = ckSaveOptions(cfg);
         save_store.checkpoint_save = via_store;
         save_store.ckpt_store = subdir;
-        save_store.max_instructions = 0;
         Simulator(save_store).run();
 
-        // The store pays for itself on every single config: manifest +
-        // blobs below the whole image (the sweep-level dedup win on top
-        // of this is bench_ckpt_store's claim).
-        EXPECT_LT(fileSize(via_store) +
-                      ckptStoreDirBytes(::testing::TempDir() + subdir),
-                  fileSize(plain));
+        plain_bytes += fileSize(plain);
+        store_bytes += fileSize(via_store);
 
         SimOptions load_plain = ckOptions(cfg);
         load_plain.checkpoint_load = plain;
@@ -514,10 +553,23 @@ TEST(CkptStore, StoreRestoreMatchesPlainRestoreAcrossConfigs)
         EXPECT_EQ(r_plain.finished, r_store.finished);
         EXPECT_EQ(dumpAllStats(ref), dumpAllStats(dut));
 
-        ckptStoreRemoveDir(::testing::TempDir() + subdir);
         std::remove(plain.c_str());
         std::remove(via_store.c_str());
     }
+    store_bytes += ckptStoreDirBytes(::testing::TempDir() + subdir);
+    ckptStoreRemoveDir(::testing::TempDir() + subdir);
+    return static_cast<double>(plain_bytes) /
+           static_cast<double>(store_bytes);
+}
+
+TEST(CkptStore, StoreRestoreMatchesPlainRestoreAcrossConfigs)
+{
+    // Alone, every config's manifest + blobs undercut its whole image.
+    for (const CkConfig& cfg : kConfigs)
+        EXPECT_GT(expectStoreMatchesPlain(cfg.name, {cfg}), 1.0)
+            << cfg.name;
+    // Across the farm, shared warmups dedup to the store's 5x floor.
+    EXPECT_GE(expectStoreMatchesPlain("lbm_farm", kLbmFarm), 5.0);
 }
 
 TEST(CkptStore, ShardedSweepViaStoreMatchesPlainCheckpoints)

@@ -91,6 +91,13 @@ struct SweepCase {
     const char* tokens;
 };
 
+// Prints the case by value, so the test name that ctest lists does not
+// carry the string pointers (which move with every build and run).
+void PrintTo(const SweepCase& c, std::ostream* os)
+{
+    *os << c.workload << '/' << c.component << '/' << c.tokens;
+}
+
 class NoDeadlockSweep : public ::testing::TestWithParam<SweepCase>
 {};
 

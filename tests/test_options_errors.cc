@@ -1,14 +1,16 @@
 /**
  * @file
- * CLI-parsing error paths: every malformed parameter token or jobs value
- * must produce a pfm diagnostic (exit 1 through pfm_fatal, or a warning
- * plus fallback for the advisory PFM_JOBS environment variable) — never
- * an uncaught std::invalid_argument out of the numeric parse.
+ * CLI-parsing error paths: every malformed parameter token, instruction
+ * count (flag or PFM_INSTRUCTIONS) or jobs value must produce a pfm
+ * diagnostic (exit 1 through pfm_fatal, or a warning plus fallback for
+ * the advisory PFM_JOBS environment variable) — never an uncaught
+ * std::invalid_argument out of the numeric parse, and never a silent 0.
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <string>
 
 #include "sim/options.h"
 #include "sim/sweep.h"
@@ -182,6 +184,61 @@ TEST(OptionsErrors, CheckpointFlagsParse)
     EXPECT_EQ(o.checkpoint_save, "/tmp/a.ckpt");
     EXPECT_EQ(o.checkpoint_load, "/tmp/b.ckpt");
     EXPECT_TRUE(o.defer_component);
+}
+
+TEST(OptionsErrorDeathTest, InstructionCountGarbageIsFatal)
+{
+    struct Case {
+        const char* arg;
+        const char* message;
+    };
+    const Case cases[] = {
+        {"--instructions=abc", "bad number 'abc' in '--instructions=abc'"},
+        {"--instructions=12abc",
+         "bad number '12abc' in '--instructions=12abc'"},
+        {"--instructions=-1", "bad number '-1' in '--instructions=-1'"},
+        {"--instructions=", "bad number '' in '--instructions='"},
+        {"--warmup=1e6", "bad number '1e6' in '--warmup=1e6'"},
+        {"--warmup=99999999999999999999",
+         "number '99999999999999999999' out of range in "
+         "'--warmup=99999999999999999999'"},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.arg);
+        char prog[] = "pfm_sim";
+        std::string arg = c.arg;
+        char* argv[] = {prog, arg.data()};
+        EXPECT_EXIT(parseCommandLine(2, argv), ::testing::ExitedWithCode(1),
+                    c.message);
+    }
+}
+
+TEST(OptionsErrorDeathTest, InstructionBudgetEnvGarbageIsFatal)
+{
+    for (const char* value : {"abc", "12abc", " 5", ""}) {
+        SCOPED_TRACE(value);
+        setenv("PFM_INSTRUCTIONS", value, 1);
+        EXPECT_EXIT(defaultInstructionBudget(), ::testing::ExitedWithCode(1),
+                    std::string("bad number '") + value +
+                        "' in PFM_INSTRUCTIONS");
+    }
+    unsetenv("PFM_INSTRUCTIONS");
+}
+
+TEST(OptionsErrors, InstructionCountsParse)
+{
+    setenv("PFM_INSTRUCTIONS", "0x1000", 1);
+    EXPECT_EQ(defaultInstructionBudget(), 0x1000u);
+    char prog[] = "pfm_sim";
+    char warmup[] = "--warmup=500";
+    char* argv[] = {prog, warmup};
+    SimOptions o = parseCommandLine(2, argv);
+    EXPECT_EQ(o.max_instructions, 0x1000u);
+    EXPECT_EQ(o.warmup_instructions, 500u);
+    char insts[] = "--instructions=60000";
+    argv[1] = insts;
+    EXPECT_EQ(parseCommandLine(2, argv).max_instructions, 60000u);
+    unsetenv("PFM_INSTRUCTIONS");
 }
 
 TEST(OptionsErrorDeathTest, ExplicitJobsEqGarbageIsFatal)

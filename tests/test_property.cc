@@ -77,6 +77,13 @@ struct CacheGeom {
     unsigned assoc;
 };
 
+// Prints the geometry by value, so the test name that ctest lists does
+// not carry the struct's uninitialised padding bytes.
+void PrintTo(const CacheGeom& g, std::ostream* os)
+{
+    *os << "size" << g.size << "_assoc" << g.assoc;
+}
+
 class CacheProperty : public ::testing::TestWithParam<CacheGeom>
 {};
 
