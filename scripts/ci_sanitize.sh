@@ -11,7 +11,10 @@
 # code UBSan pays off on (shift widths, popcount-driven indexing). The
 # trace-frontend suite joins for the same reason: block (de)compression,
 # CRC framing, and record decoding over deliberately corrupted trace
-# files are untrusted-input byte-twiddling.
+# files are untrusted-input byte-twiddling. From pfm_tests, the checkpoint
+# image reader (corrupt headers, frames and flags) and the memory
+# hierarchy's plane and slot-array loaders run through a --gtest_filter:
+# the rest of that binary is long simulation runs the plain build covers.
 #
 # Usage: scripts/ci_sanitize.sh [build-dir]   (default: build-sanitize)
 set -eu
@@ -21,6 +24,9 @@ BUILD_DIR="${1:-build-sanitize}"
 
 cmake -B "$BUILD_DIR" -S . -DPFM_SANITIZE=ON
 cmake --build "$BUILD_DIR" -j"$(nproc)" --target pfm_daemon_tests \
-    pfm_ckpt_store_tests pfm_pmp_tests pfm_trace_tests pfm_daemon \
-    pfm_client
+    pfm_ckpt_store_tests pfm_pmp_tests pfm_trace_tests pfm_tests \
+    pfm_daemon pfm_client
 (cd "$BUILD_DIR" && ctest -L 'daemon|ckptstore|pmp|trace' --output-on-failure -j2)
+CKPT_MEM='Checkpoint*:MemoryCheckpoint*:Cache.*:Dram.*:HierarchyTest.*'
+CKPT_MEM="$CKPT_MEM:Geometries/CacheProperty.*:LayoutEquiv.*"
+"$BUILD_DIR/tests/pfm_tests" --gtest_filter="$CKPT_MEM"

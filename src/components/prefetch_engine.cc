@@ -152,7 +152,7 @@ FsmPrefetcher::rfStep(Cycle now)
             static_cast<double>(events) / s.events_per_unit);
         std::uint64_t target = demand_units + st.adapt.distance();
 
-        if (std::getenv("PFM_PF_TRACE") && (now & 0xFFFF) < 4) {
+        if (trace_enabled_ && (now & 0xFFFF) < 4) {
             std::fprintf(stderr,
                          "lead %s now=%llu events=%llu issued=%llu "
                          "dist=%u intq_free=%u\n",

@@ -27,27 +27,25 @@ Cache::Cache(const CacheParams& params)
         static_cast<unsigned>(params_.size_bytes / (params_.assoc * kLineBytes));
     pfm_assert(isPow2(num_sets_), "%s: number of sets must be a power of two",
                params_.name.c_str());
-    lines_.resize(static_cast<size_t>(num_sets_) * params_.assoc);
-    line_index_.reserve(lines_.size() * 2);
+    set_bits_ = floorLog2(num_sets_);
+    const size_t ways = static_cast<size_t>(num_sets_) * params_.assoc;
+    tags_.assign(ways, kBadAddr);
+    fill_done_.assign(ways, 0);
+    lru_.assign(ways, 0);
+    prefetched_.assign(ways, 0);
     mshr_free_at_.assign(params_.mshrs, 0);
 }
 
 size_t
-Cache::setIndex(Addr addr) const
+Cache::findWay(Addr addr) const noexcept
 {
-    return (addr / kLineBytes) & (num_sets_ - 1);
-}
-
-Addr
-Cache::tagOf(Addr addr) const
-{
-    return (addr / kLineBytes) >> floorLog2(num_sets_);
-}
-
-Addr
-Cache::keyOfLine(size_t set, Addr tag) const
-{
-    return (tag << floorLog2(num_sets_)) | set;
+    const Addr line = addr / kLineBytes;
+    const size_t base = (line & (num_sets_ - 1)) * params_.assoc;
+    const Addr tag = line >> set_bits_;
+    for (size_t i = base; i < base + params_.assoc; ++i)
+        if (tags_[i] == tag)
+            return i;
+    return kNoWay;
 }
 
 CacheProbe
@@ -58,26 +56,25 @@ Cache::probe(Addr addr, Cycle now, bool is_demand) noexcept
     if (is_demand)
         ++ctr_accesses_;
 
-    auto it = line_index_.find(lineKey(addr));
-    if (it != line_index_.end()) {
-        Line& line = lines_[it->second];
-        line.lru = ++lru_clock_;
-        res.hit = true;
-        res.data_ready = std::max(now, line.fill_done) + params_.latency;
-        if (line.prefetched && is_demand) {
-            res.was_prefetched = true;
-            line.prefetched = false;
-            ++ctr_prefetch_useful_;
-        }
-        if (line.fill_done > now) {
-            res.under_fill = true;
-            if (is_demand)
-                ++ctr_hits_under_fill_;
-        }
+    const size_t i = findWay(addr);
+    if (i == kNoWay) {
+        if (is_demand)
+            ++ctr_misses_;
         return res;
     }
-    if (is_demand)
-        ++ctr_misses_;
+    lru_[i] = ++lru_clock_;
+    res.hit = true;
+    res.data_ready = std::max(now, fill_done_[i]) + params_.latency;
+    if (prefetched_[i] && is_demand) {
+        res.was_prefetched = true;
+        prefetched_[i] = 0;
+        ++ctr_prefetch_useful_;
+    }
+    if (fill_done_[i] > now) {
+        res.under_fill = true;
+        if (is_demand)
+            ++ctr_hits_under_fill_;
+    }
     return res;
 }
 
@@ -88,59 +85,47 @@ Cache::fill(Addr addr, Cycle fill_done, bool prefetched) noexcept
 
     // If the line is already present (e.g., racing prefetch + demand),
     // just take the earlier completion.
-    auto it = line_index_.find(lineKey(addr));
-    if (it != line_index_.end()) {
-        Line& line = lines_[it->second];
-        line.fill_done = std::min(line.fill_done, fill_done);
+    if (size_t i = findWay(addr); i != kNoWay) {
+        fill_done_[i] = std::min(fill_done_[i], fill_done);
         return res;
     }
     res.allocated = true;
 
-    size_t set = setIndex(addr);
-    Line* base = &lines_[set * params_.assoc];
-
-    // Prefer an invalid way; otherwise evict the least-recently-used line.
-    Line* victim = base;
-    for (unsigned w = 0; w < params_.assoc; ++w) {
-        if (!base[w].valid) {
-            victim = &base[w];
+    // Prefer the first invalid way; otherwise evict the first way with
+    // the smallest LRU stamp.
+    const Addr line = addr / kLineBytes;
+    const Addr set = line & (num_sets_ - 1);
+    const size_t base = set * params_.assoc;
+    size_t v = base;
+    for (size_t i = base; i < base + params_.assoc; ++i) {
+        if (tags_[i] == kBadAddr) {
+            v = i;
             break;
         }
-        if (base[w].lru < victim->lru)
-            victim = &base[w];
+        if (lru_[i] < lru_[v])
+            v = i;
     }
 
-    if (victim->valid) {
+    if (tags_[v] != kBadAddr) {
         ++ctr_evictions_;
-        if (victim->prefetched)
+        if (prefetched_[v])
             ++ctr_prefetch_unused_;
         res.evicted = true;
-        res.victim_prefetched = victim->prefetched;
-        res.victim_line = keyOfLine(set, victim->tag) * kLineBytes;
-        line_index_.erase(keyOfLine(set, victim->tag));
+        res.victim_prefetched = prefetched_[v] != 0;
+        res.victim_line = ((tags_[v] << set_bits_) | set) * kLineBytes;
     }
 
-    victim->valid = true;
-    victim->tag = tagOf(addr);
-    victim->fill_done = fill_done;
-    victim->prefetched = prefetched;
-    victim->lru = ++lru_clock_;
-    line_index_.emplace(
-        lineKey(addr),
-        static_cast<std::uint32_t>(victim - lines_.data()));
+    tags_[v] = line >> set_bits_;
+    fill_done_[v] = fill_done;
+    prefetched_[v] = prefetched;
+    lru_[v] = ++lru_clock_;
     return res;
 }
 
 Cycle
 Cache::mshrAcquire(Cycle now) noexcept
 {
-    size_t best = 0;
-    for (size_t i = 1; i < mshr_free_at_.size(); ++i) {
-        if (mshr_free_at_[i] < mshr_free_at_[best])
-            best = i;
-    }
-    last_mshr_ = best;
-    Cycle start = std::max(now, mshr_free_at_[best]);
+    Cycle start = std::max(now, mshr_free_at_.front());
     if (start > now)
         ++ctr_mshr_stalls_;
     return start;
@@ -149,69 +134,54 @@ Cache::mshrAcquire(Cycle now) noexcept
 void
 Cache::holdMshr(Cycle done) noexcept
 {
-    mshr_free_at_[last_mshr_] = done;
+    // Replace the earliest free time and shift `done` into sorted place.
+    auto pos = std::upper_bound(mshr_free_at_.begin() + 1,
+                                mshr_free_at_.end(), done);
+    std::move(mshr_free_at_.begin() + 1, pos, mshr_free_at_.begin());
+    *(pos - 1) = done;
 }
 
 bool
 Cache::contains(Addr addr) const noexcept
 {
-    return line_index_.count(lineKey(addr)) != 0;
+    return findWay(addr) != kNoWay;
 }
 
 void
 Cache::flush()
 {
-    for (Line& line : lines_)
-        line = Line{};
-    line_index_.clear();
+    std::fill(tags_.begin(), tags_.end(), kBadAddr);
+    std::fill(fill_done_.begin(), fill_done_.end(), 0);
+    std::fill(lru_.begin(), lru_.end(), 0);
+    std::fill(prefetched_.begin(), prefetched_.end(), 0);
     std::fill(mshr_free_at_.begin(), mshr_free_at_.end(), 0);
     lru_clock_ = 0;
 }
 
-
 void
 Cache::saveState(CkptWriter& w) const
 {
-    // Field-wise: Line has interior padding (two bools between u64s)
-    // that raw bytes would leak into the image non-deterministically.
-    w.put<std::uint64_t>(lines_.size());
-    for (const Line& l : lines_) {
-        w.put(l.tag);
-        w.put(l.valid);
-        w.put(l.prefetched);
-        w.put(l.fill_done);
-        w.put(l.lru);
-    }
+    w.putVec(tags_);
+    w.putVec(fill_done_);
+    w.putVec(lru_);
+    w.putVec(prefetched_);
     w.put(lru_clock_);
     w.putVec(mshr_free_at_);
-    w.put<std::uint64_t>(last_mshr_);
     stats_.saveState(w);
 }
 
 void
 Cache::loadState(CkptReader& r)
 {
-    lines_.resize(static_cast<size_t>(r.get<std::uint64_t>()));
-    for (Line& l : lines_) {
-        r.get(l.tag);
-        r.get(l.valid);
-        r.get(l.prefetched);
-        r.get(l.fill_done);
-        r.get(l.lru);
-    }
+    r.getVecSized(tags_, params_.name + " tag plane");
+    r.getVecSized(fill_done_, params_.name + " fill-time plane");
+    r.getVecSized(lru_, params_.name + " LRU plane");
+    r.getVecSized(prefetched_, params_.name + " prefetched plane");
     r.get(lru_clock_);
-    r.getVec(mshr_free_at_);
-    last_mshr_ = static_cast<size_t>(r.get<std::uint64_t>());
+    r.getVecSized(mshr_free_at_, params_.name + " MSHR array");
+    if (!std::is_sorted(mshr_free_at_.begin(), mshr_free_at_.end()))
+        r.fail(params_.name + " MSHR array is not sorted");
     stats_.loadState(r);
-    // line_index_ mirrors the valid tags; rebuild instead of serializing.
-    line_index_.clear();
-    for (size_t i = 0; i < lines_.size(); ++i) {
-        const Line& l = lines_[i];
-        if (l.valid) {
-            line_index_[keyOfLine(i / params_.assoc, l.tag)] =
-                static_cast<std::uint32_t>(i);
-        }
-    }
 }
 
 } // namespace pfm

@@ -12,8 +12,8 @@
 #ifndef PFM_MEMORY_CACHE_H
 #define PFM_MEMORY_CACHE_H
 
+#include <algorithm>
 #include <string>
-#include <unordered_map>
 #include <vector>
 
 #include "common/stats.h"
@@ -92,17 +92,19 @@ class Cache
      */
     Cycle nextEventCycle(Cycle now) const noexcept
     {
-        Cycle next = kNoCycle;
-        for (Cycle c : mshr_free_at_)
-            if (c > now && c < next)
-                next = c;
-        return next;
+        auto it = std::upper_bound(mshr_free_at_.begin(),
+                                   mshr_free_at_.end(), now);
+        return it == mshr_free_at_.end() ? kNoCycle : *it;
     }
 
     /** Invalidate everything (used between experiment runs). */
     void flush();
 
-    /** Checkpoint: arrays + MSHR timing + stats (index is rebuilt). */
+    /**
+     * Checkpoint: the four way planes, LRU clock, MSHR free times and
+     * stats. loadState() is fatal on a plane or MSHR array whose length
+     * does not match this geometry, or an unsorted MSHR array.
+     */
     void saveState(CkptWriter& w) const;
     void loadState(CkptReader& r);
 
@@ -110,36 +112,28 @@ class Cache
     const StatGroup& stats() const { return stats_; }
 
   private:
-    struct Line {
-        Addr tag = kBadAddr;
-        bool valid = false;
-        bool prefetched = false;    ///< filled by a prefetch, not yet used
-        Cycle fill_done = 0;
-        std::uint64_t lru = 0;      ///< higher == more recent
-    };
-
-    size_t setIndex(Addr addr) const;
-    Addr tagOf(Addr addr) const;
-
-    /** Line number (addr / kLineBytes): unique (set, tag) identity. */
-    static Addr lineKey(Addr addr) { return addr / kLineBytes; }
-    Addr keyOfLine(size_t set, Addr tag) const;
+    /** Index of @p addr's way in the planes, or kNoWay if absent. */
+    static constexpr size_t kNoWay = ~size_t{0};
+    size_t findWay(Addr addr) const noexcept;
 
     CacheParams params_;
     unsigned num_sets_;
-    std::vector<Line> lines_;      ///< num_sets_ * assoc, row-major by set
+    unsigned set_bits_ = 0; ///< log2(num_sets_): line number >> set_bits_ = tag
 
-    /**
-     * Hit-path index: line key -> index into lines_, kept in lockstep with
-     * the valid tags. probe()/contains() are O(1) instead of an
-     * associativity-wide tag scan; fill() (off the hit path) still scans
-     * its set to pick a victim.
-     */
-    std::unordered_map<Addr, std::uint32_t> line_index_;
+    // Per-way planes, num_sets_ * assoc entries each, row-major by set.
+    // A set's probe or victim search touches only its own assoc ways.
+    std::vector<Addr> tags_;               ///< kBadAddr = invalid way
+    std::vector<Cycle> fill_done_;         ///< fill completion cycle
+    std::vector<std::uint64_t> lru_;       ///< higher == more recent
+    std::vector<std::uint8_t> prefetched_; ///< prefetch fill, not yet used
 
     std::uint64_t lru_clock_ = 0;
-    std::vector<Cycle> mshr_free_at_; ///< per-MSHR next-free cycle
-    size_t last_mshr_ = 0;            ///< slot chosen by last mshrAcquire
+    /**
+     * Per-MSHR next-free cycle, sorted ascending. Which MSHR a miss takes
+     * never matters, only the multiset of free times: front() is the one
+     * mshrAcquire() waits for and holdMshr() replaces.
+     */
+    std::vector<Cycle> mshr_free_at_;
     StatGroup stats_;
 
     // Hot counters resolved once at construction (the stats registry

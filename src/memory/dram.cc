@@ -20,17 +20,15 @@ Dram::access(Cycle now)
     ++ctr_accesses_;
 
     // Bounded outstanding requests: reuse the earliest-free slot.
-    size_t best = 0;
-    for (size_t i = 1; i < slots_.size(); ++i) {
-        if (slots_[i] < slots_[best])
-            best = i;
-    }
-    Cycle start = std::max({now, next_issue_, slots_[best]});
+    Cycle start = std::max({now, next_issue_, slots_.front()});
     if (start > now)
         ++ctr_queue_delay_events_;
     next_issue_ = start + params_.issue_gap;
     Cycle done = start + params_.latency;
-    slots_[best] = done;
+    // Replace the earliest slot and shift `done` into sorted place.
+    auto pos = std::upper_bound(slots_.begin() + 1, slots_.end(), done);
+    std::move(slots_.begin() + 1, pos, slots_.begin());
+    *(pos - 1) = done;
     return done;
 }
 
@@ -54,7 +52,9 @@ void
 Dram::loadState(CkptReader& r)
 {
     r.get(next_issue_);
-    r.getVec(slots_);
+    r.getVecSized(slots_, "dram slot array");
+    if (!std::is_sorted(slots_.begin(), slots_.end()))
+        r.fail("dram slot array is not sorted");
     stats_.loadState(r);
 }
 

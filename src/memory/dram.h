@@ -7,6 +7,7 @@
 #ifndef PFM_MEMORY_DRAM_H
 #define PFM_MEMORY_DRAM_H
 
+#include <algorithm>
 #include <vector>
 
 #include "common/stats.h"
@@ -34,16 +35,14 @@ class Dram
      */
     Cycle nextEventCycle(Cycle now) const noexcept
     {
-        Cycle next = kNoCycle;
-        for (Cycle c : slots_)
-            if (c > now && c < next)
-                next = c;
-        return next;
+        auto it = std::upper_bound(slots_.begin(), slots_.end(), now);
+        return it == slots_.end() ? kNoCycle : *it;
     }
 
     void flush();
 
     void saveState(CkptWriter& w) const;
+    /** Fatal unless the image holds max_outstanding sorted slot times. */
     void loadState(CkptReader& r);
 
     StatGroup& stats() { return stats_; }
@@ -51,7 +50,8 @@ class Dram
   private:
     DramParams params_;
     Cycle next_issue_ = 0;
-    std::vector<Cycle> slots_;   ///< outstanding-request completion times
+    /** Outstanding-request completion times, sorted ascending. */
+    std::vector<Cycle> slots_;
     StatGroup stats_;
 
     // Bound once; access() runs on every DRAM-bound miss.

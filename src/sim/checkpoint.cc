@@ -190,13 +190,15 @@ CkptWriter::finish()
     const bool store = !store_rel_.empty();
 
     if (!store) {
-        // Plain image: header, then self-describing v3 section frames.
+        // Plain image: CRC-covered header, then self-describing section
+        // frames.
         appendVal(file, kCkptMagic);
         appendVal(file, kCkptFormatVersion);
         appendVal(file, hdr_.fingerprint);
         appendStr(file, hdr_.workload);
         appendStr(file, hdr_.component);
         appendVal(file, hdr_.retired);
+        appendVal(file, ckptCrc32(file.data(), file.size()));
     } else {
         appendVal(file, kCkptManifestMagic);
         appendVal(file, kCkptFormatVersion);
@@ -385,6 +387,11 @@ CkptReader::readHeader()
     h.workload = rawString("header workload");
     h.component = rawString("header component");
     h.retired = rawU64("header retired count");
+    // Only the sections carry CRCs of their own; without this one a
+    // flipped bit in the retired count would load silently.
+    const std::size_t header_len = pos_;
+    if (rawU32("header CRC") != ckptCrc32(data_, header_len))
+        fail("header CRC mismatch");
     return h;
 }
 
@@ -426,6 +433,10 @@ CkptReader::readManifest()
         fail("manifest CRC mismatch");
     if (pos_ != size_)
         fail("trailing bytes after manifest");
+    for (const ManifestEntry& e : entries_)
+        if (e.meta.flags & ~kCkptBlobCompressed)
+            fail("unknown flags " + std::to_string(e.meta.flags) +
+                 " in manifest entry '" + e.name + "'");
     return h;
 }
 
@@ -463,6 +474,8 @@ CkptReader::beginSection(const std::string& name)
     std::uint8_t flags = 0;
     rawBytes(&flags, 1, "section flags");
     std::uint64_t raw_len = rawU64("section raw length");
+    if (flags & ~kCkptBlobCompressed)
+        fail("unknown section flags " + std::to_string(flags));
     if (stored_len > size_ - pos_)
         fail("truncated payload (" + std::to_string(stored_len) +
              " bytes declared, " + std::to_string(size_ - pos_) +

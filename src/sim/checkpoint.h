@@ -5,14 +5,16 @@
  * A checkpoint *image* is a flat byte stream:
  *
  *   header:  magic u64 | format version u32 | config fingerprint u64 |
- *            workload string | component string | retired-at-save u64
+ *            workload string | component string | retired-at-save u64 |
+ *            header CRC32 u32 (over every header byte before it)
  *   section: name string | stored length u64 | CRC32 u32 (of stored
  *            bytes) | flags u8 | raw length u64 | stored bytes
  *   ...      (sections in a fixed order; the reader names the section it
  *             expects, so an order mismatch is caught by name)
  *
  * Sections are self-describing: flags bit 0 marks the stored bytes as
- * lz-compressed (common/lz.h); with it clear, stored == raw and the
+ * lz-compressed (common/lz.h); any other flag bit is corruption, rejected
+ * in images and manifests alike. With bit 0 clear, stored == raw and the
  * reader serves the payload in place from the mmap — the zero-copy fast
  * path plain images keep by default. The writer can also save in *store*
  * mode (setStore()): each section payload becomes a content-addressed
@@ -60,8 +62,10 @@ namespace pfm {
  * Bump on any layout change; readers reject every other version.
  * v3: section framing carries flags + raw-length fields (per-section
  * compression); adds the content-addressed manifest layout.
+ * v4: caches save flat way planes and sorted MSHR/DRAM slot arrays; the
+ * image header carries its own CRC.
  */
-constexpr std::uint32_t kCkptFormatVersion = 3;
+constexpr std::uint32_t kCkptFormatVersion = 4;
 
 /**
  * Compression policy from the PFM_CKPT_COMPRESS env knob: "0" never,
@@ -302,6 +306,27 @@ class CkptReader
 
     const std::string& path() const { return path_; }
 
+    /**
+     * getVec() into a vector already sized to the expected length: fatal,
+     * naming @p what, unless the payload holds exactly that many elements.
+     */
+    template <typename T>
+    void
+    getVecSized(std::vector<T>& v, const std::string& what)
+    {
+        const std::size_t n = v.size();
+        getVec(v);
+        if (v.size() != n)
+            fail(what + " has " + std::to_string(v.size()) +
+                 " entries, expected " + std::to_string(n));
+    }
+
+    /**
+     * Die naming the checkpoint and the open section. Loaders call it for
+     * a payload that parses but holds invalid state.
+     */
+    [[noreturn]] void fail(const std::string& what) const;
+
   private:
     /** Layout found behind the leading magic, set by readHeader(). */
     enum class Mode { kImage, kManifest };
@@ -312,8 +337,6 @@ class CkptReader
         std::uint64_t hash = 0;
         CkptBlobMeta meta;
     };
-
-    [[noreturn]] void fail(const std::string& what) const;
 
     /** Element count sanity: must fit in the bytes left in the section. */
     void checkCount(std::uint64_t n, std::size_t elem_size);

@@ -488,8 +488,9 @@ inspectCkptFile(const std::string& path)
     img.file_bytes = info.file_bytes;
     std::string s;
     std::uint64_t u64;
+    std::uint32_t header_crc;
     if (!c.get(img.version) || !c.get(u64) || !c.getString(s) ||
-        !c.getString(s) || !c.get(u64))
+        !c.getString(s) || !c.get(u64) || !c.get(header_crc))
         return info;
     if (img.version != kCkptFormatVersion)
         return info;

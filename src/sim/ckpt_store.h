@@ -1,6 +1,6 @@
 /**
  * @file
- * Content-addressed blob store backing checkpoint format v3 manifests.
+ * Content-addressed blob store backing checkpoint manifests.
  *
  * A store directory holds one file per unique section payload, named by
  * the FNV-1a 64 hash of the raw (uncompressed) bytes:

@@ -10,7 +10,7 @@
  * (truncated, bit-flipped, wrong version, reordered sections, trailing
  * garbage, config drift) dies through pfm_fatal naming the checkpoint and
  * the offending section — never a crash or a silent misload. The
- * checked-in astar_bare_v3.{ckpt,digest} fixture pins the on-disk format
+ * checked-in astar_bare_v4.{ckpt,digest} fixture pins the on-disk format
  * of the current writer (regenerate with PFM_REGEN_FIXTURES=1 on a format
  * bump). (Store-mode coverage lives in test_ckpt_store.cc.)
  */
@@ -20,6 +20,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -540,10 +541,41 @@ TEST(CheckpointDeathTest, FlippedPayloadByteIsFatalWithSectionName)
     std::remove(path.c_str());
 }
 
+TEST(CheckpointDeathTest, FlippedHeaderAndFlagBitsAreFatal)
+{
+    // Image layout of the small bare checkpoint: magic u64, version u32,
+    // fingerprint u64, "astar" and "none" (u32 length + bytes), retired
+    // u64 at offsets 37..44, header CRC u32, then the first section frame
+    // ("engine": name, stored length u64, CRC u32, flags u8 at 71).
+    struct Corruption {
+        std::size_t offset;
+        unsigned char bits;
+        const char* message;
+    };
+    const Corruption cases[] = {
+        {37, 0x01, "header CRC mismatch"},
+        {44, 0x80, "header CRC mismatch"},
+        {71, 0x10, "unknown section flags 16 \\(section 'engine'\\)"},
+    };
+    for (const Corruption& c : cases) {
+        SCOPED_TRACE(c.offset);
+        const std::string path = saveSmallCheckpoint("ckpt_hdr.ckpt");
+        std::vector<unsigned char> bytes = readFile(path);
+        ASSERT_GT(bytes.size(), 72u);
+        ASSERT_EQ(0, std::memcmp(&bytes[49], "\x06\0\0\0engine", 10));
+        bytes[c.offset] ^= c.bits;
+        writeFile(path, bytes);
+        EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
+                    c.message);
+        std::remove(path.c_str());
+    }
+}
+
 TEST(CheckpointDeathTest, WrongVersionTagIsFatal)
 {
-    // 99: from the future. 2: the retired pre-compression layout.
-    for (unsigned char version : {99, 2}) {
+    // 99: from the future. 3: the retired per-line cache layout.
+    // 2: the retired pre-compression layout.
+    for (unsigned char version : {99, 3, 2}) {
         SCOPED_TRACE(static_cast<int>(version));
         const std::string path = saveSmallCheckpoint("ckpt_ver.ckpt");
         std::vector<unsigned char> bytes = readFile(path);
@@ -552,7 +584,7 @@ TEST(CheckpointDeathTest, WrongVersionTagIsFatal)
         writeFile(path, bytes);
         EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
                     "format version " + std::to_string(version) +
-                        " != supported version 3");
+                        " != supported version 4");
         std::remove(path.c_str());
     }
 }
@@ -811,12 +843,12 @@ checkFixtureDigest(const std::string& fixture,
     EXPECT_EQ(expected, digest);
 }
 
-TEST(Checkpoint, GoldenFixtureReportDigestV3)
+TEST(Checkpoint, GoldenFixtureReportDigestV4)
 {
     // Current-format fixture, saved with compression forced on so the
-    // digest also pins the v3 compressed-frame encoding.
+    // digest also pins the compressed-frame encoding.
     const std::string dir = PFM_FIXTURES_DIR;
-    const std::string fixture = dir + "/astar_bare_v3.ckpt";
+    const std::string fixture = dir + "/astar_bare_v4.ckpt";
     const bool regen = std::getenv("PFM_REGEN_FIXTURES") != nullptr;
 
     if (regen) {
@@ -829,7 +861,7 @@ TEST(Checkpoint, GoldenFixtureReportDigestV3)
         ::unsetenv("PFM_CKPT_COMPRESS");
     }
 
-    checkFixtureDigest(fixture, dir + "/astar_bare_v3.digest", regen);
+    checkFixtureDigest(fixture, dir + "/astar_bare_v4.digest", regen);
 }
 
 } // namespace

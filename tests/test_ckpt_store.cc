@@ -348,7 +348,7 @@ TEST(CkptStore, SharedSectionsDedupAcrossConfigs)
 
 TEST(CkptStore, CompressedPlainImageRoundTrips)
 {
-    // setCompress without setStore: a single self-contained v3 image with
+    // setCompress without setStore: a single self-contained image with
     // compressed section frames (PFM_CKPT_COMPRESS=1 on a plain save).
     const std::string path = tmpPath("store_img.ckpt");
     StorePayload p = makePayload(5);
@@ -777,7 +777,7 @@ pokeU64(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v)
 
 TEST(CkptStoreDeathTest, ImplausibleRawLenInImageFrameIsFatal)
 {
-    // The v3 section frame's raw-length field is not covered by the
+    // The section frame's raw-length field is not covered by the
     // payload CRC; a flipped high bit must die by name at the bounds
     // check, not as a bad_alloc from a petabyte resize.
     const std::string path = tmpPath("ckpt_rawlen_img.ckpt");
@@ -843,6 +843,35 @@ TEST(CkptStoreDeathTest, ImplausibleRawLenInBlobIsFatal)
     };
     EXPECT_EXIT(load(), ::testing::ExitedWithCode(1),
                 "implausible raw length");
+    ckptStoreRemoveDir(dir + "/blobs");
+    std::remove(path.c_str());
+    ::rmdir(dir.c_str());
+}
+
+TEST(CkptStoreDeathTest, UnknownManifestEntryFlagIsFatal)
+{
+    // A flag bit no writer sets, with the manifest CRC re-signed so only
+    // the flags check can catch it.
+    const std::string dir = tmpPath("ckpt_entry_flags");
+    ::mkdir(dir.c_str(), 0755);
+    const std::string path = dir + "/m.ckpt";
+    writeStoreCkpt(path, "blobs", makePayload(8));
+
+    std::vector<std::uint8_t> man = readFile(path);
+    // Entry layout: name, hash u64, raw_len u64, raw_crc u32, flags u8.
+    std::size_t name = findBytes(man, "engine");
+    ASSERT_NE(std::string::npos, name);
+    man[name + 6 + 8 + 8 + 4] |= 0x10;
+    std::uint32_t crc = ckptCrc32(man.data(), man.size() - 4);
+    std::memcpy(man.data() + man.size() - 4, &crc, 4);
+    writeFile(path, man);
+
+    auto load = [&] {
+        CkptReader r(path);
+        r.readHeader();
+    };
+    EXPECT_EXIT(load(), ::testing::ExitedWithCode(1),
+                "unknown flags 1[67] in manifest entry 'engine'");
     ckptStoreRemoveDir(dir + "/blobs");
     std::remove(path.c_str());
     ::rmdir(dir.c_str());

@@ -11,6 +11,10 @@
  * checkpoint written by either layout must restore into the other with no
  * behavioral drift — that cross-restore is the strongest single check
  * that the checkpoint image never picked up layout details.
+ *
+ * The sorted MSHR and DRAM slot arrays get the same treatment against
+ * the linear-argmin pools they replaced (tests/reference_slots.h): equal
+ * start cycles, event horizons and stall counters on random sequences.
  */
 
 #include <gtest/gtest.h>
@@ -24,6 +28,10 @@
 
 #include "branch/tage.h"
 #include "branch/tage_scl.h"
+#include "common/rng.h"
+#include "memory/cache.h"
+#include "memory/dram.h"
+#include "reference_slots.h"
 #include "reference_tage_scl.h"
 #include "sim/checkpoint.h"
 
@@ -284,6 +292,71 @@ TEST(LayoutEquiv, NonDefaultGeometryLockstep)
 
     EXPECT_EQ(stateBytes(prod, "layout_geom_prod.ckpt"),
               stateBytes(ref, "layout_geom_ref.ckpt"));
+}
+
+/**
+ * A jittered, mostly rising cycle: steps back by up to 8 cycles now and
+ * then (callers hand the pools non-monotone times) and repeats values
+ * often enough to create ties between slots.
+ */
+Cycle
+jitteredNow(Rng& rng, Cycle& base)
+{
+    base += rng.below(6);
+    return base >= 8 ? base - rng.below(9) : base;
+}
+
+TEST(LayoutEquiv, MshrSlotsMatchArgminReference)
+{
+    for (unsigned mshrs : {1u, 2u, 5u, 16u, 128u}) {
+        SCOPED_TRACE(mshrs);
+        Cache prod({"c", 1024, 2, 2, mshrs});
+        refmodel::MshrPool ref(mshrs);
+        Rng rng(mshrs);
+        Cycle base = 0;
+        for (int step = 0; step < 20'000; ++step) {
+            const Cycle now = jitteredNow(rng, base);
+            const Cycle start = prod.mshrAcquire(now);
+            ASSERT_EQ(ref.mshrAcquire(now), start) << "step " << step;
+            // Usually hold the slot, as a demand miss does; sometimes
+            // acquire only, and sometimes hold it until before `start`.
+            const std::uint64_t kind = rng.below(8);
+            if (kind != 0) {
+                const Cycle done = kind == 1 ? rng.below(start + 1)
+                                             : start + 4 * rng.below(40);
+                prod.holdMshr(done);
+                ref.holdMshr(done);
+            }
+            const Cycle q = now + rng.below(200);
+            ASSERT_EQ(ref.nextEventCycle(q), prod.nextEventCycle(q))
+                << "step " << step;
+        }
+        EXPECT_EQ(ref.mshr_stalls, prod.stats().get("mshr_stalls"));
+    }
+}
+
+TEST(LayoutEquiv, DramSlotsMatchArgminReference)
+{
+    for (unsigned outstanding : {1u, 3u, 64u}) {
+        for (unsigned gap : {0u, 2u}) {
+            SCOPED_TRACE(outstanding * 10 + gap);
+            const DramParams params{250, gap, outstanding};
+            Dram prod(params);
+            refmodel::Dram ref(params);
+            Rng rng(outstanding * 31 + gap);
+            Cycle base = 0;
+            for (int step = 0; step < 20'000; ++step) {
+                const Cycle now = jitteredNow(rng, base);
+                ASSERT_EQ(ref.access(now), prod.access(now))
+                    << "step " << step;
+                const Cycle q = now + rng.below(600);
+                ASSERT_EQ(ref.nextEventCycle(q), prod.nextEventCycle(q))
+                    << "step " << step;
+            }
+            EXPECT_EQ(ref.queue_delay_events,
+                      prod.stats().get("queue_delay_events"));
+        }
+    }
 }
 
 } // namespace

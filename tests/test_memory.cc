@@ -1,16 +1,27 @@
 /**
  * @file
  * Unit tests for the memory hierarchy: cache hit/miss timing, MSHR limits,
- * prefetchers, DRAM bandwidth, and hierarchy composition.
+ * prefetchers, DRAM bandwidth, hierarchy composition, and the cache
+ * checkpoint payload (round trip, malformed planes and MSHR arrays).
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <fstream>
+#include <functional>
+#include <iterator>
+#include <string>
+#include <utility>
+#include <vector>
+
+#include "common/rng.h"
 #include "memory/cache.h"
 #include "memory/dram.h"
 #include "memory/hierarchy.h"
 #include "memory/next_n_line.h"
 #include "memory/vldp.h"
+#include "sim/checkpoint.h"
 
 namespace pfm {
 namespace {
@@ -238,6 +249,168 @@ TEST_F(HierarchyTest, FlushForgetsEverything)
     h.flush();
     MemAccessResult r = h.access(0x100000, 1000, MemAccessType::kLoad);
     EXPECT_EQ(r.service_level, 4);
+}
+
+std::string
+tmpPath(const std::string& name)
+{
+    return ::testing::TempDir() + name;
+}
+
+std::vector<char>
+readFile(const std::string& path)
+{
+    std::ifstream is(path, std::ios::binary);
+    EXPECT_TRUE(is.good()) << path;
+    return std::vector<char>(std::istreambuf_iterator<char>(is),
+                             std::istreambuf_iterator<char>());
+}
+
+/** Write a one-section image whose payload @p body fills. */
+void
+writeImage(const std::string& path,
+           const std::function<void(CkptWriter&)>& body)
+{
+    CkptWriter w(path);
+    w.writeHeader(CkptHeader{});
+    w.beginSection("memory");
+    body(w);
+    w.endSection();
+    w.finish();
+}
+
+/** Save @p h to @p path as a one-section image. */
+void
+saveHierarchy(const Hierarchy& h, const std::string& path)
+{
+    writeImage(path, [&h](CkptWriter& w) { h.saveState(w); });
+}
+
+void
+loadHierarchy(Hierarchy& h, const std::string& path)
+{
+    CkptReader r(path);
+    r.readHeader();
+    r.beginSection("memory");
+    h.loadState(r);
+    r.endSection();
+}
+
+TEST(MemoryCheckpoint, SaveLoadSaveIsByteIdentical)
+{
+    // Default (Table 1) geometry with both prefetchers on: every cache
+    // plane, the MSHR and DRAM slot arrays and the VLDP tables hold
+    // non-trivial state when saved.
+    Hierarchy warmed{HierarchyParams{}};
+    Rng rng(7);
+    Cycle now = 0;
+    for (int i = 0; i < 20'000; ++i) {
+        now += rng.below(4);
+        const Addr addr = rng.below(1u << 22) * 8;
+        warmed.access(addr, now, rng.below(4) == 0 ? MemAccessType::kStore
+                                                   : MemAccessType::kLoad);
+    }
+
+    const std::string first = tmpPath("mem_roundtrip_1.ckpt");
+    const std::string second = tmpPath("mem_roundtrip_2.ckpt");
+    saveHierarchy(warmed, first);
+    Hierarchy restored{HierarchyParams{}};
+    loadHierarchy(restored, first);
+    saveHierarchy(restored, second);
+    EXPECT_EQ(readFile(first), readFile(second));
+
+    // The restored copy also behaves identically from here on.
+    for (int i = 0; i < 2'000; ++i) {
+        now += rng.below(4);
+        const Addr addr = rng.below(1u << 22) * 8;
+        MemAccessResult a = warmed.access(addr, now, MemAccessType::kLoad);
+        MemAccessResult b = restored.access(addr, now, MemAccessType::kLoad);
+        ASSERT_EQ(a.done, b.done) << "access " << i;
+        ASSERT_EQ(a.service_level, b.service_level) << "access " << i;
+    }
+    std::remove(first.c_str());
+    std::remove(second.c_str());
+}
+
+using MemoryCheckpointDeathTest = ::testing::Test;
+
+TEST(MemoryCheckpointDeathTest, MalformedPlanesAndMshrArraysAreFatal)
+{
+    // Cache "c": 1024 B, 2 ways -> 8 sets x 2 ways = 16 entries per
+    // plane; 2 MSHRs. Each image gets one field wrong.
+    const CacheParams params{"c", 1024, 2, 2, 2};
+    const std::vector<Addr> tags(16, kBadAddr);
+    const std::vector<Cycle> cycles(16, 0);
+    const std::vector<std::uint8_t> flags(16, 0);
+    auto planes = [&](CkptWriter& w, const std::vector<Addr>& t) {
+        w.putVec(t);
+        w.putVec(cycles);
+        w.putVec(cycles);
+        w.putVec(flags);
+        w.put<std::uint64_t>(0); // LRU clock
+    };
+
+    struct Corruption {
+        const char* name;
+        std::function<void(CkptWriter&)> body;
+        const char* message;
+    };
+    const std::vector<Corruption> cases = {
+        {"short_tag_plane",
+         [&](CkptWriter& w) { planes(w, std::vector<Addr>(15, kBadAddr)); },
+         "c tag plane has 15 entries, expected 16 \\(section 'memory'\\)"},
+        {"mshr_count",
+         [&](CkptWriter& w) {
+             planes(w, tags);
+             w.putVec(std::vector<Cycle>{0, 0, 0});
+         },
+         "c MSHR array has 3 entries, expected 2 \\(section 'memory'\\)"},
+        {"unsorted_mshrs",
+         [&](CkptWriter& w) {
+             planes(w, tags);
+             w.putVec(std::vector<Cycle>{500, 100});
+         },
+         "c MSHR array is not sorted \\(section 'memory'\\)"},
+    };
+    for (const Corruption& c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string path = tmpPath(std::string("cache_") + c.name);
+        writeImage(path, c.body);
+        auto load = [&] {
+            Cache cache(params);
+            CkptReader r(path);
+            r.readHeader();
+            r.beginSection("memory");
+            cache.loadState(r);
+        };
+        EXPECT_EXIT(load(), ::testing::ExitedWithCode(1), c.message);
+        std::remove(path.c_str());
+    }
+}
+
+TEST(MemoryCheckpointDeathTest, MalformedDramSlotArraysAreFatal)
+{
+    const std::vector<std::pair<std::vector<Cycle>, const char*>> cases = {
+        {{0, 0, 0}, "dram slot array has 3 entries, expected 2"},
+        {{900, 300}, "dram slot array is not sorted"},
+    };
+    for (const auto& [slots, message] : cases) {
+        SCOPED_TRACE(message);
+        const std::string path = tmpPath("dram_slots.ckpt");
+        writeImage(path, [&slots = slots](CkptWriter& w) {
+            w.put<Cycle>(0); // next issue cycle
+            w.putVec(slots);
+        });
+        auto load = [&] {
+            Dram dram({250, 2, 2});
+            CkptReader r(path);
+            r.readHeader();
+            r.beginSection("memory");
+            dram.loadState(r);
+        };
+        EXPECT_EXIT(load(), ::testing::ExitedWithCode(1), message);
+        std::remove(path.c_str());
+    }
 }
 
 } // namespace

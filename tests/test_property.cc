@@ -9,6 +9,7 @@
 
 #include <deque>
 #include <map>
+#include <set>
 
 #include "common/circular_queue.h"
 #include "common/rng.h"
@@ -94,10 +95,16 @@ TEST_P(CacheProperty, MatchesReferenceLru)
     unsigned num_sets =
         static_cast<unsigned>(g.size / (g.assoc * kLineBytes));
 
-    // Reference: per set, an LRU-ordered list of tags.
+    // Reference: per set, an LRU-ordered list of tags, plus the lines
+    // filled by a prefetch and not yet touched by a demand access.
     std::map<size_t, std::deque<Addr>> ref;
+    std::set<Addr> ref_prefetched;
     auto set_of = [&](Addr line) {
         return static_cast<size_t>((line / kLineBytes) % num_sets);
+    };
+    auto ref_contains = [&](Addr line) {
+        const auto& lru = ref[set_of(line)];
+        return std::find(lru.begin(), lru.end(), line) != lru.end();
     };
 
     Rng rng(g.size + g.assoc);
@@ -111,14 +118,31 @@ TEST_P(CacheProperty, MatchesReferenceLru)
             << "line " << line << " step " << step;
 
         if (p.hit) {
+            ASSERT_EQ(p.was_prefetched, ref_prefetched.erase(line) == 1)
+                << "line " << line << " step " << step;
             lru.erase(it);
             lru.push_back(line); // most recent at the back
         } else {
-            c.fill(line, static_cast<Cycle>(step), false);
-            if (lru.size() == g.assoc)
+            const bool prefetched = rng.below(4) == 0;
+            CacheFillResult fr =
+                c.fill(line, static_cast<Cycle>(step), prefetched);
+            ASSERT_TRUE(fr.allocated);
+            ASSERT_EQ(fr.evicted, lru.size() == g.assoc) << "step " << step;
+            if (fr.evicted) {
+                ASSERT_EQ(fr.victim_line, lru.front()) << "step " << step;
+                ASSERT_EQ(fr.victim_prefetched,
+                          ref_prefetched.erase(lru.front()) == 1)
+                    << "step " << step;
                 lru.pop_front();
+            }
             lru.push_back(line);
+            if (prefetched)
+                ref_prefetched.insert(line);
         }
+
+        Addr other = rng.below(4 * num_sets * g.assoc) * kLineBytes;
+        ASSERT_EQ(c.contains(other), ref_contains(other))
+            << "line " << other << " step " << step;
     }
 }
 

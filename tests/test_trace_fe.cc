@@ -130,6 +130,13 @@ struct ReplayConfig {
     bool fastfwd;
 };
 
+// Prints the config by value, so the test name that ctest lists does not
+// carry the struct's pointer bytes (which move with every link).
+void PrintTo(const ReplayConfig& c, std::ostream* os)
+{
+    *os << c.component << (c.fastfwd ? "/fastfwd" : "/nofastfwd");
+}
+
 class TraceReplayIdentity : public ::testing::TestWithParam<ReplayConfig> {
 };
 
