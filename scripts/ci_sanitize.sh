@@ -13,8 +13,10 @@
 # CRC framing, and record decoding over deliberately corrupted trace
 # files are untrusted-input byte-twiddling. From pfm_tests, the checkpoint
 # image reader (corrupt headers, frames and flags) and the memory
-# hierarchy's plane and slot-array loaders run through a --gtest_filter:
-# the rest of that binary is long simulation runs the plain build covers.
+# hierarchy's plane and slot-array loaders run through a --gtest_filter,
+# as do the core scheduler suites: the wait lists and the ready-bit ring
+# are slot and index arithmetic the sanitizers check. The rest of that
+# binary is long simulation runs the plain build covers.
 #
 # Usage: scripts/ci_sanitize.sh [build-dir]   (default: build-sanitize)
 set -eu
@@ -27,6 +29,7 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" --target pfm_daemon_tests \
     pfm_ckpt_store_tests pfm_pmp_tests pfm_trace_tests pfm_tests \
     pfm_daemon pfm_client
 (cd "$BUILD_DIR" && ctest -L 'daemon|ckptstore|pmp|trace' --output-on-failure -j2)
-CKPT_MEM='Checkpoint*:MemoryCheckpoint*:Cache.*:Dram.*:HierarchyTest.*'
-CKPT_MEM="$CKPT_MEM:Geometries/CacheProperty.*:LayoutEquiv.*"
-"$BUILD_DIR/tests/pfm_tests" --gtest_filter="$CKPT_MEM"
+SUITES='Checkpoint*:MemoryCheckpoint*:Cache.*:Dram.*:HierarchyTest.*'
+SUITES="$SUITES:Geometries/CacheProperty.*:LayoutEquiv.*"
+SUITES="$SUITES:Core.*:CoreSlab.*:FastForward.*:CoreParamProperty.*"
+"$BUILD_DIR/tests/pfm_tests" --gtest_filter="$SUITES"

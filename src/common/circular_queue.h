@@ -27,9 +27,7 @@ class CircularQueue
   public:
     CircularQueue() = default;
 
-    explicit CircularQueue(size_t capacity)
-        : buf_(capacity), capacity_(capacity)
-    {}
+    explicit CircularQueue(size_t capacity) { allocate(capacity); }
 
     /**
      * Re-establish the capacity of an empty queue. @p who names the
@@ -41,10 +39,7 @@ class CircularQueue
     {
         pfm_assert(empty(), "cannot resize non-empty queue '%s' (size %zu)",
                    who, size_);
-        buf_.assign(capacity, T{});
-        capacity_ = capacity;
-        head_ = 0;
-        size_ = 0;
+        allocate(capacity);
     }
 
     size_t capacity() const { return capacity_; }
@@ -58,7 +53,7 @@ class CircularQueue
     push(T v)
     {
         pfm_assert(!full(), "push to full queue (capacity %zu)", capacity_);
-        buf_[(head_ + size_) % capacity_] = std::move(v);
+        buf_[(head_ + size_) & mask_] = std::move(v);
         ++size_;
     }
 
@@ -68,7 +63,7 @@ class CircularQueue
     {
         pfm_assert(!empty(), "pop from empty queue");
         T v = std::move(buf_[head_]);
-        head_ = (head_ + 1) % capacity_;
+        head_ = (head_ + 1) & mask_;
         --size_;
         return v;
     }
@@ -86,7 +81,7 @@ class CircularQueue
     back()
     {
         pfm_assert(!empty(), "back of empty queue");
-        return buf_[(head_ + size_ - 1) % capacity_];
+        return buf_[(head_ + size_ - 1) & mask_];
     }
 
     /** i-th element from the head (0 == front). */
@@ -94,13 +89,13 @@ class CircularQueue
     at(size_t i)
     {
         pfm_assert(i < size_, "index %zu out of range (size %zu)", i, size_);
-        return buf_[(head_ + i) % capacity_];
+        return buf_[(head_ + i) & mask_];
     }
     const T&
     at(size_t i) const
     {
         pfm_assert(i < size_, "index %zu out of range (size %zu)", i, size_);
-        return buf_[(head_ + i) % capacity_];
+        return buf_[(head_ + i) & mask_];
     }
 
     /** Drop the @p n youngest entries (squash support). */
@@ -144,7 +139,26 @@ class CircularQueue
     }
 
   private:
+    /**
+     * The ring is the next power of two at or above @p capacity, so a
+     * slot index is a mask rather than a division; capacity_ alone bounds
+     * occupancy.
+     */
+    void
+    allocate(size_t capacity)
+    {
+        size_t ring = 1;
+        while (ring < capacity)
+            ring <<= 1;
+        buf_.assign(ring, T{});
+        mask_ = ring - 1;
+        capacity_ = capacity;
+        head_ = 0;
+        size_ = 0;
+    }
+
     std::vector<T> buf_;
+    size_t mask_ = 0;
     size_t capacity_ = 0;
     size_t head_ = 0;
     size_t size_ = 0;

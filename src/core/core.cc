@@ -63,9 +63,8 @@ Core::Core(const CoreParams& params, InstSource& engine, Hierarchy& memory)
       dist_load_latency_(stats_.distribution("load_latency")),
       pf_trace_enabled_(std::getenv("PFM_PF_TRACE") != nullptr)
 {
-    iq_.reserve(params_.iq_size);
-    ldq_.reserve(params_.ldq_size);
-    stq_.reserve(params_.stq_size);
+    ldq_.setCapacity(params_.ldq_size, "LDQ");
+    stq_.setCapacity(params_.stq_size, "STQ");
 
     // Slab capacity: the live window [head_seq_, engine_next_) is at most
     // ROB + frontend pipe + the staging slot; the engine only produces a
@@ -77,6 +76,10 @@ Core::Core(const CoreParams& params, InstSource& engine, Hierarchy& memory)
     hot_slab_.resize(cap);
     cold_slab_.resize(cap);
     slab_mask_ = cap - 1;
+    wake_head_.assign(cap, kNoSeq);
+    wake_next_.assign(cap, {kNoSeq, kNoSeq});
+    ready_.assign(std::max<SeqNum>(cap / 64, 1), 0);
+    ready_span_ = std::min<SeqNum>(cap, 64);
 
     switch (params_.bp_kind) {
       case BpKind::kTageScl:
@@ -110,15 +113,110 @@ Core::assertInWindow(SeqNum seq) const
                (unsigned long long)seq);
 }
 
+/**
+ * A source is available once its producer is kDone (its completion event
+ * has been processed) or out of the ROB window: kNoSeq (architectural),
+ * already retired, or a stale reference.
+ */
 bool
-Core::sourceReady(SeqNum producer, Cycle now) const
+Core::sourceDone(SeqNum producer) const
 {
-    if (producer == kNoSeq || producer < head_seq_)
-        return true; // architectural or already retired
-    if (!inWindow(producer))
-        return true; // producer squashed+retired concurrently (stale ref)
-    const InstHot& p = hotAt(producer);
-    return p.complete_cycle != kNoCycle && p.complete_cycle <= now;
+    return !inWindow(producer) ||
+           hotAt(producer).state == InstHot::kDone;
+}
+
+/**
+ * A record just turned kWaiting: link it onto the wait list of each
+ * producer that is not done yet (source 0 before source 1, so the
+ * newest node is always the youngest consumer's last source), or mark
+ * it ready when both sources are already available.
+ */
+void
+Core::enterScheduler(SeqNum seq)
+{
+    const InstHot& h = hotAt(seq);
+    const SeqNum srcs[2] = {h.src1, h.src2};
+    bool ready = true;
+    for (SeqNum k = 0; k < 2; ++k) {
+        if (sourceDone(srcs[k]))
+            continue;
+        SeqNum& head = wake_head_[srcs[k] & slab_mask_];
+        wake_next_[seq & slab_mask_][k] = head;
+        head = seq * 2 + k;
+        ready = false;
+    }
+    if (ready)
+        setReady(seq);
+}
+
+/** @p producer just turned kDone: wake the consumers waiting on it. */
+void
+Core::wakeWaiters(SeqNum producer)
+{
+    SeqNum& head = wake_head_[producer & slab_mask_];
+    SeqNum node = head;
+    head = kNoSeq;
+    // Each waiting record sits on a list at most once per source.
+    unsigned budget = 2 * iq_count_;
+    while (node != kNoSeq) {
+        const SeqNum c = node >> 1;
+        const InstHot& h = hotAt(c);
+        pfm_assert(budget-- > 0 && h.state == InstHot::kWaiting,
+                   "wait list of seq %llu is corrupt at seq %llu",
+                   (unsigned long long)producer, (unsigned long long)c);
+        if (sourceDone(h.src1) && sourceDone(h.src2))
+            setReady(c);
+        node = wake_next_[c & slab_mask_][node & 1];
+    }
+}
+
+/**
+ * Squash support: take waiting @p consumer off the lists of its
+ * surviving producers that are not done yet. Called youngest consumer
+ * first, so each of its nodes is the head of that list; source 1 goes
+ * before source 0, which keeps src1 == src2 right.
+ */
+void
+Core::unlinkWaiter(SeqNum consumer, SeqNum first_squashed)
+{
+    const InstHot& h = hotAt(consumer);
+    const SeqNum srcs[2] = {h.src1, h.src2};
+    for (SeqNum k = 2; k-- > 0;) {
+        const SeqNum p = srcs[k];
+        // A squashed producer's list is reset when it is re-dispatched.
+        if (p >= first_squashed || sourceDone(p))
+            continue;
+        SeqNum& head = wake_head_[p & slab_mask_];
+        pfm_assert(head == consumer * 2 + k,
+                   "seq %llu is not the newest waiter of seq %llu",
+                   (unsigned long long)consumer, (unsigned long long)p);
+        head = wake_next_[consumer & slab_mask_][k];
+    }
+}
+
+/** The IQ's contents: the kWaiting records of the ROB window, seq order. */
+std::vector<SeqNum>
+Core::waitingRecords() const
+{
+    std::vector<SeqNum> v;
+    v.reserve(iq_count_);
+    for (SeqNum s = head_seq_; s != dispatch_end_; ++s)
+        if (hotAt(s).state == InstHot::kWaiting)
+            v.push_back(s);
+    return v;
+}
+
+bool
+Core::storeSetBlocked(const InstHot& e, Cycle now) const
+{
+    // Memory dependence prediction: a load whose store set has an
+    // unexecuted in-flight store waits for it (store-set barrier,
+    // snapshotted at dispatch).
+    if (!e.is_load || e.mem_barrier == kNoSeq || !inWindow(e.mem_barrier))
+        return false;
+    const InstHot& s = hotAt(e.mem_barrier);
+    return s.state != InstHot::kFrontend &&
+           (s.complete_cycle == kNoCycle || s.complete_cycle > now);
 }
 
 void
@@ -147,7 +245,7 @@ Core::fastForward() noexcept
     // --- Busy checks: anything that would act at `now` vetoes the skip.
     // All checks are pure reads, so they can run in any order; the O(1)
     // vetoes go first so busy phases (where some cheap veto almost always
-    // fires) never pay for the IQ scan.
+    // fires) never pay for the ready-set walk.
     if (!write_buffer_.empty())
         return 0; // drains one store per cycle
     if (!completions_.empty() && completions_.top().first <= now)
@@ -185,7 +283,7 @@ Core::fastForward() noexcept
             const bool needs_iq = t.cls != OpClass::kNop;
             if (robSize() >= params_.rob_size)
                 dispatch_stall = &ctr_dispatch_stall_rob_;
-            else if (needs_iq && iq_.size() >= params_.iq_size)
+            else if (needs_iq && iq_count_ >= params_.iq_size)
                 dispatch_stall = &ctr_dispatch_stall_iq_;
             else if (t.is_load && ldq_.size() >= params_.ldq_size)
                 dispatch_stall = &ctr_dispatch_stall_ldq_;
@@ -223,29 +321,24 @@ Core::fastForward() noexcept
         consider(h);
     }
 
-    // Issue (the one non-O(1) veto, so it runs last): any queue entry
-    // with both sources ready either issues this cycle (all lanes are
-    // free at cycle start — busy) or is blocked on a store-set barrier,
-    // in which case it accrues load_waits_storeset every skipped cycle.
-    // Source readiness and barrier release are both driven by completion
-    // events, so they cannot change before the horizon computed from
-    // completions_.
+    // Issue (the one non-O(1) veto, so it runs last): any ready-set
+    // entry either issues this cycle (all lanes are free at cycle start —
+    // busy) or is blocked on a store-set barrier, in which case it accrues
+    // load_waits_storeset every skipped cycle. Wakeup and barrier release
+    // are both driven by completion events, so neither can change before
+    // the horizon computed from completions_.
     std::uint64_t barrier_waits = 0;
-    for (SeqNum seq : iq_) {
-        const InstHot& e = hotAt(seq);
-        if (!sourceReady(e.src1, now) || !sourceReady(e.src2, now))
-            continue;
-        if (e.is_load && e.mem_barrier != kNoSeq &&
-            inWindow(e.mem_barrier)) {
-            const InstHot& s = hotAt(e.mem_barrier);
-            if (s.state != InstHot::kFrontend &&
-                (s.complete_cycle == kNoCycle || s.complete_cycle > now)) {
-                ++barrier_waits;
-                continue;
-            }
+    bool would_issue = false;
+    forEachReady([&](SeqNum seq) {
+        if (!storeSetBlocked(hotAt(seq), now)) {
+            would_issue = true;
+            return false;
         }
-        return 0; // would issue this cycle
-    }
+        ++barrier_waits;
+        return true;
+    });
+    if (would_issue)
+        return 0;
 
     // Memory-side timing events (MSHR/DRAM-slot frees). Fills are passive
     // timestamps in this model, so these only bound how far a skip can
@@ -283,6 +376,9 @@ Core::processCompletions(Cycle now)
         if (h.state != InstHot::kIssued || h.complete_cycle != c)
             continue; // stale event from before a squash/replay
         h.state = InstHot::kDone;
+        // Wake before checkViolations: a squash it triggers unlinks only
+        // waiters of producers that are not done yet.
+        wakeWaiters(seq);
         InstCold& e = coldAt(seq);
         if (tracer_)
             tracer_->stage(e.d, TraceStage::kComplete, now);
@@ -344,6 +440,11 @@ Core::squashAfter(SeqNum last_kept, Cycle now, const char* reason)
             ++squashed_writers;
         if (e.d.isStore())
             store_sets_.storeInactive(e.d.pc, e.d.seq);
+        if (h.state == InstHot::kWaiting) {
+            unlinkWaiter(s, first_squashed);
+            clearReady(s);
+            --iq_count_;
+        }
         // Reset backend state for replay.
         h.state = InstHot::kFrontend;
         h.complete_cycle = kNoCycle;
@@ -381,13 +482,13 @@ Core::squashAfter(SeqNum last_kept, Cycle now, const char* reason)
     for (SeqNum s = head_seq_; s < dispatch_end_; ++s)
         rename_.rebuildAdd(*coldAt(s).d.inst, s);
 
-    // Purge scheduling structures.
-    auto purge = [last_kept](std::vector<SeqNum>& v) {
-        v.erase(std::remove_if(v.begin(), v.end(),
-                               [last_kept](SeqNum s) { return s > last_kept; }),
-                v.end());
+    // Drop the squashed tails of the load/store queues (seq order).
+    auto purge = [last_kept](CircularQueue<SeqNum>& q) {
+        std::size_t n = 0;
+        while (n < q.size() && q.at(q.size() - 1 - n) > last_kept)
+            ++n;
+        q.popBack(n);
     };
-    purge(iq_);
     purge(ldq_);
     purge(stq_);
 
@@ -493,9 +594,11 @@ Core::saveState(CkptWriter& w) const
     for (SeqNum s = head_seq_; s != engine_next_; ++s)
         put_rec(hotAt(s), coldAt(s));
 
-    w.putVec(iq_);
-    w.putVec(ldq_);
-    w.putVec(stq_);
+    // The IQ is derived state; it is written in the historical putVec
+    // layout, as are the LSQ rings.
+    w.putVec(waitingRecords());
+    ldq_.saveState(w);
+    stq_.saveState(w);
 
     // priority_queue has no iteration; drain a copy (it is tiny: at most
     // one completion event per in-flight instruction).
@@ -594,9 +697,47 @@ Core::loadState(CkptReader& r)
     for (SeqNum s = head_seq_; s != engine_next_; ++s)
         get_rec(hotAt(s), coldAt(s));
 
-    r.getVec(iq_);
-    r.getVec(ldq_);
-    r.getVec(stq_);
+    // The stored IQ must be exactly the kWaiting records, in seq order;
+    // the wait lists and ready bits are rebuilt from the slab, registering
+    // in ascending seq as dispatch did, so each list is newest-first.
+    std::vector<SeqNum> iq;
+    r.getVec(iq);
+    for (std::size_t i = 0; i < iq.size(); ++i) {
+        if (i > 0 && iq[i] <= iq[i - 1])
+            r.fail("IQ list is not strictly increasing at entry " +
+                   std::to_string(i));
+        if (!inWindow(iq[i]))
+            r.fail("IQ entry seq " + std::to_string(iq[i]) +
+                   " lies outside the ROB window [" +
+                   std::to_string(head_seq_) + ", " +
+                   std::to_string(dispatch_end_) + ")");
+    }
+    const std::vector<SeqNum> waiting = waitingRecords();
+    const auto [wait_it, iq_it] =
+        std::mismatch(waiting.begin(), waiting.end(), iq.begin(), iq.end());
+    if (wait_it != waiting.end() && (iq_it == iq.end() || *wait_it < *iq_it))
+        r.fail("IQ list lacks waiting seq " + std::to_string(*wait_it));
+    if (iq_it != iq.end())
+        r.fail("IQ list names seq " + std::to_string(*iq_it) +
+               ", which is not waiting");
+    std::fill(wake_head_.begin(), wake_head_.end(), kNoSeq);
+    std::fill(ready_.begin(), ready_.end(), 0);
+    iq_count_ = static_cast<unsigned>(waiting.size());
+    for (SeqNum s : waiting)
+        enterScheduler(s);
+
+    auto get_queue = [&r](CircularQueue<SeqNum>& q, const char* what) {
+        std::vector<SeqNum> v;
+        r.getVec(v);
+        if (v.size() > q.capacity())
+            r.fail(std::string(what) + " has " + std::to_string(v.size()) +
+                   " entries, capacity " + std::to_string(q.capacity()));
+        q.clear();
+        for (SeqNum s : v)
+            q.push(s);
+    };
+    get_queue(ldq_, "LDQ");
+    get_queue(stq_, "STQ");
 
     completions_ = {};
     std::uint64_t nc = r.get<std::uint64_t>();

@@ -21,6 +21,8 @@
 #ifndef PFM_CORE_CORE_H
 #define PFM_CORE_CORE_H
 
+#include <array>
+#include <bit>
 #include <deque>
 #include <memory>
 #include <unordered_map>
@@ -29,6 +31,7 @@
 
 #include "branch/btb.h"
 #include "branch/predictor.h"
+#include "common/circular_queue.h"
 #include "common/stats.h"
 #include "core/core_params.h"
 #include "core/rename.h"
@@ -218,13 +221,13 @@ class Core
     /**
      * One in-flight instruction, split across two parallel slab planes
      * (see DESIGN.md "Hot structure layout"). The hot plane holds exactly
-     * the fields the per-cycle scheduler scans read — issue wakeup
-     * (src1/src2), store-set barrier, retire / fast-forward eligibility
-     * (state, complete_cycle, dispatch_ready) — packed into 48 bytes so an
-     * IQ walk streams ~1.3 cache lines per entry instead of dragging the
-     * full DynInst payload through L1. The op class and load/store flags
-     * are denormalized from the decoded instruction at dispatch so the
-     * issue loop's lane/latency selection never leaves the hot plane.
+     * the fields the per-cycle scheduler reads — wakeup (src1/src2),
+     * store-set barrier, retire / fast-forward eligibility (state,
+     * complete_cycle, dispatch_ready) — packed into 48 bytes so select
+     * never drags the full DynInst payload through L1. The op class and
+     * load/store flags are denormalized from the decoded instruction at
+     * dispatch so the issue loop's lane/latency selection never leaves
+     * the hot plane.
      */
     struct InstHot {
         // Backend state machine.
@@ -273,7 +276,48 @@ class Core
     // --- helpers
     bool inWindow(SeqNum seq) const;
     void assertInWindow(SeqNum seq) const;
-    bool sourceReady(SeqNum producer, Cycle now) const;
+    bool sourceDone(SeqNum producer) const;
+    void enterScheduler(SeqNum seq);
+    void wakeWaiters(SeqNum producer);
+    void unlinkWaiter(SeqNum consumer, SeqNum first_squashed);
+    std::vector<SeqNum> waitingRecords() const;
+    bool storeSetBlocked(const InstHot& e, Cycle now) const;
+    void setReady(SeqNum seq)
+    {
+        const SeqNum slot = seq & slab_mask_;
+        ready_[slot >> 6] |= std::uint64_t{1} << (slot & 63);
+    }
+    void clearReady(SeqNum seq)
+    {
+        const SeqNum slot = seq & slab_mask_;
+        ready_[slot >> 6] &= ~(std::uint64_t{1} << (slot & 63));
+    }
+
+    /**
+     * Visit the ready set oldest-first: each seq in [head_seq_,
+     * dispatch_end_) whose ready bit is set, in seq order, until @p fn
+     * returns false. Zero words of the bit ring are skipped whole; the
+     * word is re-read after every visit, so @p fn may clear the bit of
+     * the seq it is handed.
+     */
+    template <typename Fn>
+    void
+    forEachReady(Fn&& fn) const
+    {
+        for (SeqNum s = head_seq_; s < dispatch_end_;) {
+            const SeqNum slot = s & slab_mask_;
+            const SeqNum bit = slot & 63;
+            const std::uint64_t w = ready_[slot >> 6] >> bit;
+            if (w == 0) {
+                s += ready_span_ - bit;
+                continue;
+            }
+            s += static_cast<SeqNum>(std::countr_zero(w));
+            if (s >= dispatch_end_ || !fn(s))
+                return;
+            ++s;
+        }
+    }
     bool stageNextFetch();
     void consumeNextFetch();
     Cycle issueLoad(InstCold& e, Cycle now);
@@ -334,9 +378,24 @@ class Core
     SeqNum robSize() const { return dispatch_end_ - head_seq_; }
     SeqNum frontendSize() const { return fetch_end_ - dispatch_end_; }
 
-    std::vector<SeqNum> iq_;          ///< waiting instructions, seq order
-    std::vector<SeqNum> ldq_;         ///< in-flight loads, seq order
-    std::vector<SeqNum> stq_;         ///< in-flight stores, seq order
+    // Event-driven issue (DESIGN.md "Event-driven issue"). The IQ is the
+    // set of kWaiting records; only its size is kept. A waiting consumer
+    // with a source whose producer is not yet kDone sits on that
+    // producer's intrusive wait list: wake_head_[producer slot] holds the
+    // newest node, wake_next_[consumer slot][k] links source k's node to
+    // the next older one, and a node is consumer_seq * 2 + k. When the
+    // producer's completion event turns it kDone, its list is walked and
+    // every consumer whose sources are now all done gets its bit set in
+    // ready_, one bit per slab slot; select walks those bits from
+    // head_seq_, so issue order stays oldest-first.
+    unsigned iq_count_ = 0;
+    std::vector<SeqNum> wake_head_;
+    std::vector<std::array<SeqNum, 2>> wake_next_;
+    std::vector<std::uint64_t> ready_;
+    SeqNum ready_span_ = 64; ///< slots per ready_ word: min(64, slab size)
+
+    CircularQueue<SeqNum> ldq_;       ///< in-flight loads, seq order
+    CircularQueue<SeqNum> stq_;       ///< in-flight stores, seq order
 
     using CompletionEvent = std::pair<Cycle, SeqNum>;
     std::priority_queue<CompletionEvent, std::vector<CompletionEvent>,

@@ -178,7 +178,7 @@ Core::dispatch(Cycle now)
         bool is_ls = t.is_load || t.is_store;
         bool needs_iq = t.cls != OpClass::kNop;
 
-        if (needs_iq && iq_.size() >= params_.iq_size) {
+        if (needs_iq && iq_count_ >= params_.iq_size) {
             ++ctr_dispatch_stall_iq_;
             return;
         }
@@ -208,9 +208,12 @@ Core::dispatch(Cycle now)
         h.is_store = t.is_store;
         pfm_assert(e.d.seq == dispatch_end_, "non-contiguous dispatch");
 
+        // The slot's wait list may still hold a squashed incarnation's.
+        wake_head_[dispatch_end_ & slab_mask_] = kNoSeq;
         if (needs_iq) {
             h.state = InstHot::kWaiting;
-            iq_.push_back(e.d.seq);
+            ++iq_count_;
+            enterScheduler(e.d.seq);
         } else {
             // nop/halt: complete immediately, consuming only retire slots.
             h.state = InstHot::kDone;
@@ -218,7 +221,7 @@ Core::dispatch(Cycle now)
         }
 
         if (t.is_load) {
-            ldq_.push_back(e.d.seq);
+            ldq_.push(e.d.seq);
             // Snapshot the store-set barrier now: the LFST tracks the
             // youngest store of the set, which is only this load's
             // producer if read before younger stores dispatch.
@@ -227,7 +230,7 @@ Core::dispatch(Cycle now)
                 h.mem_barrier = barrier;
         }
         if (t.is_store) {
-            stq_.push_back(e.d.seq);
+            stq_.push(e.d.seq);
             store_sets_.storeDispatched(e.d.pc, e.d.seq);
         }
         (void)is_ls;

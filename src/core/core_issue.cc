@@ -37,33 +37,14 @@ Core::issue(Cycle now)
     unsigned budget = params_.issue_width;
     unsigned used_alu = 0, used_ls = 0, used_fp = 0;
 
-    // Oldest-first select over the issue queue (kept in sequence order).
-    // Issued entries are compacted out in one pass (write cursor `kept`)
-    // instead of an O(queue) erase per issued instruction.
-    size_t kept = 0;
-    size_t i = 0;
-    for (; i < iq_.size() && budget > 0; ++i) {
-        SeqNum seq = iq_[i];
-        assertInWindow(seq);
+    // Oldest-first select over the ready set (waiting records whose
+    // producers are all done), until the issue budget runs out.
+    forEachReady([&](SeqNum seq) {
         InstHot& e = hotAt(seq);
 
-        if (!sourceReady(e.src1, now) || !sourceReady(e.src2, now)) {
-            iq_[kept++] = seq;
-            continue;
-        }
-
-        // Memory dependence prediction: a load whose store set has an
-        // unexecuted in-flight store waits for it (store-set barrier,
-        // snapshotted at dispatch).
-        if (e.is_load && e.mem_barrier != kNoSeq &&
-            inWindow(e.mem_barrier)) {
-            const InstHot& s = hotAt(e.mem_barrier);
-            if (s.state != InstHot::kFrontend &&
-                (s.complete_cycle == kNoCycle || s.complete_cycle > now)) {
-                ++ctr_load_waits_storeset_;
-                iq_[kept++] = seq;
-                continue;
-            }
+        if (storeSetBlocked(e, now)) {
+            ++ctr_load_waits_storeset_;
+            return true;
         }
 
         LaneGroup lane = laneOf(e.cls);
@@ -71,10 +52,8 @@ Core::issue(Cycle now)
             (lane == kLaneAlu && used_alu < params_.alu_lanes) ||
             (lane == kLaneLs && used_ls < params_.ls_lanes) ||
             (lane == kLaneFp && used_fp < params_.fp_lanes);
-        if (!lane_free) {
-            iq_[kept++] = seq;
-            continue;
-        }
+        if (!lane_free)
+            return true;
 
         Cycle complete;
         switch (e.cls) {
@@ -113,6 +92,8 @@ Core::issue(Cycle now)
 
         e.state = InstHot::kIssued;
         e.complete_cycle = complete;
+        clearReady(seq);
+        --iq_count_;
         completions_.emplace(complete, seq);
         ++ctr_issued_;
         if (tracer_)
@@ -123,15 +104,8 @@ Core::issue(Cycle now)
           case kLaneLs:  ++used_ls;  break;
           case kLaneFp:  ++used_fp;  break;
         }
-        --budget;
-    }
-
-    // Entries past the scan point (budget exhausted) are all kept.
-    if (kept != i) {
-        for (; i < iq_.size(); ++i)
-            iq_[kept++] = iq_[i];
-        iq_.resize(kept);
-    }
+        return --budget > 0;
+    });
 
     usage_ = IssueUsage{used_alu, used_ls, used_fp};
     free_ls_slots_ = params_.ls_lanes - used_ls;
@@ -145,15 +119,16 @@ Core::issueLoad(InstCold& e, Cycle now)
     Addr hi = lo + e.d.mem_size;
 
     // Search older in-flight stores (youngest first) for forwarding.
-    for (auto it = stq_.rbegin(); it != stq_.rend(); ++it) {
-        if (*it > e.d.seq)
+    for (std::size_t i = stq_.size(); i-- > 0;) {
+        const SeqNum sseq = stq_.at(i);
+        if (sseq > e.d.seq)
             continue;
-        assertInWindow(*it);
+        assertInWindow(sseq);
         // Only stores that have executed (address known) participate.
-        const Cycle store_done = hotAt(*it).complete_cycle;
+        const Cycle store_done = hotAt(sseq).complete_cycle;
         if (store_done == kNoCycle || store_done > agen)
             continue;
-        const InstCold& s = coldAt(*it);
+        const InstCold& s = coldAt(sseq);
         Addr slo = s.d.mem_addr;
         Addr shi = slo + s.d.mem_size;
         if (hi <= slo || shi <= lo)
@@ -197,7 +172,8 @@ Core::checkViolations(const InstCold& store, Cycle now)
     Addr shi = slo + store.d.mem_size;
 
     // Oldest violating load wins (loads kept in sequence order).
-    for (SeqNum lseq : ldq_) {
+    for (std::size_t i = 0; i < ldq_.size(); ++i) {
+        const SeqNum lseq = ldq_.at(i);
         if (lseq <= store.d.seq)
             continue;
         assertInWindow(lseq);

@@ -45,12 +45,12 @@ Core::retire(Cycle now)
             store_sets_.storeInactive(head.d.pc, head.d.seq);
             pfm_assert(!stq_.empty() && stq_.front() == head.d.seq,
                        "STQ out of sync at retire");
-            stq_.erase(stq_.begin());
+            stq_.pop();
         }
         if (head.d.isLoad()) {
             pfm_assert(!ldq_.empty() && ldq_.front() == head.d.seq,
                        "LDQ out of sync at retire");
-            ldq_.erase(ldq_.begin());
+            ldq_.pop();
         }
         if (head.d.isCondBranch())
             ++ctr_cond_retired_;

@@ -16,6 +16,7 @@
 #include "common/framing.h"
 #include "common/log.h"
 #include "sim/checkpoint.h"
+#include "sim/options.h"
 #include "sim/simulator.h"
 #include "sim/stats_io.h"
 #include "sim/sweep.h"
@@ -354,20 +355,6 @@ splitLines(const std::string& text)
     return lines;
 }
 
-/** Strict u64 request-field parse; fatal (throwing, in the daemon) on junk. */
-std::uint64_t
-parseRequestU64(const std::string& field, const std::string& value)
-{
-    char* end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(value.c_str(), &end, 0);
-    if (value.empty() || end == value.c_str() || *end != '\0' ||
-        errno == ERANGE)
-        pfm_fatal("bad number '%s' for request field '%s'", value.c_str(),
-                  field.c_str());
-    return v;
-}
-
 /** One-line rendering for error frames (diagnostics may contain newlines). */
 std::string
 oneLine(std::string s)
@@ -675,9 +662,11 @@ DaemonServer::handleSweep(const std::shared_ptr<ConnState>& conn,
                     pfm_fatal("unknown component option '%s'", value.c_str());
                 base.component = value;
             } else if (key == "warmup") {
-                base.warmup_instructions = parseRequestU64(key, value);
+                base.warmup_instructions =
+                    parseNumber(value, 0, "request field '" + key + "'");
             } else if (key == "instructions") {
-                base.max_instructions = parseRequestU64(key, value);
+                base.max_instructions =
+                    parseNumber(value, 0, "request field '" + key + "'");
             } else if (key == "fastfwd") {
                 if (value == "on")
                     base.fastfwd = true;

@@ -9,18 +9,9 @@
 
 namespace pfm {
 
-namespace {
-
-/**
- * Strict unsigned parse shared by every numeric knob: all of @p text must
- * be one number in @p base (0 keeps strtoull's 0x/octal prefixes) no
- * larger than @p max. Anything else — empty, a sign, leading space,
- * trailing junk, overflow — aborts with a diagnostic naming the value and
- * @p where it came from.
- */
 std::uint64_t
 parseNumber(const std::string& text, int base, const std::string& where,
-            std::uint64_t max = std::numeric_limits<std::uint64_t>::max())
+            std::uint64_t max)
 {
     // strtoull alone would skip leading space and negate a '-' sign.
     if (text.empty() || !std::isdigit(static_cast<unsigned char>(text[0])))
@@ -35,6 +26,8 @@ parseNumber(const std::string& text, int base, const std::string& where,
                   where.c_str());
     return v;
 }
+
+namespace {
 
 /** The decimal numeric field of a parameter token, e.g. "8" of "queue8". */
 unsigned

@@ -9,6 +9,7 @@
 
 #include <cstdint>
 #include <functional>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -127,6 +128,17 @@ void applyTokens(SimOptions& opt, const std::string& tokens);
 
 /** Parse --workload= / --component= / --instructions= / tokens argv. */
 SimOptions parseCommandLine(int argc, char** argv);
+
+/**
+ * Strict unsigned parse shared by every numeric knob, request field and
+ * tool flag: all of @p text must be one number in @p base (0 keeps
+ * strtoull's 0x/octal prefixes) no larger than @p max. Anything else —
+ * empty, a sign, leading space, trailing junk, overflow — is fatal with a
+ * diagnostic naming the value and @p where it came from.
+ */
+std::uint64_t
+parseNumber(const std::string& text, int base, const std::string& where,
+            std::uint64_t max = std::numeric_limits<std::uint64_t>::max());
 
 /** Default per-benchmark instruction budget (env PFM_INSTRUCTIONS wins). */
 std::uint64_t defaultInstructionBudget();

@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
@@ -569,6 +570,82 @@ TEST(CheckpointDeathTest, FlippedHeaderAndFlagBitsAreFatal)
                     c.message);
         std::remove(path.c_str());
     }
+}
+
+TEST(CheckpointDeathTest, IqListDisagreeingWithSlabIsFatal)
+{
+    // The IQ is derived state: the loader checks the stored list against
+    // the slab's waiting records. Drop one entry and re-sign the "core"
+    // section frame, so only that check can catch it.
+    const std::string path = saveSmallCheckpoint("ckpt_iq.ckpt");
+    std::vector<unsigned char> bytes = readFile(path);
+    auto u64At = [&bytes](std::size_t off) {
+        std::uint64_t v;
+        std::memcpy(&v, &bytes[off], 8);
+        return v;
+    };
+    auto putU64 = [&bytes](std::size_t off, std::uint64_t v) {
+        std::memcpy(&bytes[off], &v, 8);
+    };
+
+    // "core" is the last section: name, stored length u64, CRC u32,
+    // flags u8, raw length u64, payload.
+    const unsigned char name[] = {4, 0, 0, 0, 'c', 'o', 'r', 'e'};
+    auto it = std::search(bytes.begin(), bytes.end(), std::begin(name),
+                          std::end(name));
+    ASSERT_NE(bytes.end(), it);
+    const std::size_t frame = static_cast<std::size_t>(
+        it - bytes.begin() + sizeof(name));
+    const std::size_t payload = frame + 8 + 4 + 1 + 8;
+    ASSERT_EQ(0, bytes[frame + 12]) << "core section is compressed";
+    ASSERT_EQ(bytes.size() - payload, u64At(frame));
+
+    // The slab window follows retired_ (the header's u64 at offset 37)
+    // and halt_retired_: head_seq_ (== retired_), dispatch_end_,
+    // fetch_end_, engine_next_, staged_valid_, then one fixed-size record
+    // per seq of [head_seq_, engine_next_), each led by its seq.
+    const std::uint64_t retired = u64At(37);
+    std::vector<unsigned char> window(17, 0);
+    std::memcpy(&window[0], &retired, 8);
+    std::memcpy(&window[9], &retired, 8);
+    auto w = std::search(bytes.begin() + payload, bytes.end(),
+                         window.begin(), window.end());
+    ASSERT_NE(bytes.end(), w);
+    const std::size_t head_at = static_cast<std::size_t>(
+        w - bytes.begin() + 9);
+    const std::uint64_t head = u64At(head_at);
+    const std::uint64_t dispatch_end = u64At(head_at + 8);
+    const std::uint64_t engine_next = u64At(head_at + 24);
+    // seq, pc, next_pc, taken, mem_addr, mem_size, result, store_val,
+    // dispatch_ready, 5 prediction flags, state, src1, src2,
+    // complete_cycle, mem_barrier, forwarded, forwarded_from,
+    // service_level.
+    const std::size_t kRecordBytes = 8 * 3 + 1 + 8 + 1 + 8 * 3 + 5 + 1 +
+                                     8 * 4 + 1 + 8 + 4;
+    const std::size_t records = head_at + 33;
+    for (std::uint64_t s = head; s != engine_next; ++s)
+        ASSERT_EQ(s, u64At(records + (s - head) * kRecordBytes));
+
+    const std::size_t iq = records + (engine_next - head) * kRecordBytes;
+    const std::uint64_t n = u64At(iq);
+    ASSERT_GT(n, 0u) << "no waiting instruction at the save point";
+    const std::uint64_t dropped = u64At(iq + 8);
+    ASSERT_GE(dropped, head);
+    ASSERT_LT(dropped, dispatch_end);
+    putU64(iq, n - 1);
+    bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(iq + 8),
+                bytes.begin() + static_cast<std::ptrdiff_t>(iq + 16));
+    putU64(frame, u64At(frame) - 8);
+    putU64(frame + 13, u64At(frame + 13) - 8);
+    const std::uint32_t crc =
+        ckptCrc32(&bytes[payload], bytes.size() - payload);
+    std::memcpy(&bytes[frame + 8], &crc, 4);
+    writeFile(path, bytes);
+
+    EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
+                "IQ list lacks waiting seq " + std::to_string(dropped) +
+                    " \\(section 'core'\\)");
+    std::remove(path.c_str());
 }
 
 TEST(CheckpointDeathTest, WrongVersionTagIsFatal)

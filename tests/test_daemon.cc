@@ -412,6 +412,10 @@ TEST(Daemon, BadRequestsAreErrorFramesNotDeath)
         "sweep\nworkload=astar\nleg=bogus_token",
         "sweep\nworkload=astar\ncomponent=teleport\nleg=",
         "sweep\nworkload=astar\nwarmup=banana\nleg=",
+        // Numbers go through the strict parser: no sign, no leading space.
+        "sweep\nworkload=astar\ninstructions=-1\nleg=",
+        "sweep\nworkload=astar\nwarmup= 5\nleg=",
+        "sweep\nworkload=astar\ninstructions=+7\nleg=",
         "sweep\nworkload=astar",  // no legs
         "sweep\nnonsense line",
     };

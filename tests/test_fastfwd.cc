@@ -27,6 +27,12 @@ struct FfConfig {
     const char* workload;
     const char* component;
     const char* tokens;
+    /**
+     * Starve the scheduler: an 8-entry IQ, one lane per group and a
+     * 2-wide issue budget, so the ready set stays full, lanes turn ready
+     * entries away and the budget cuts select off mid-walk.
+     */
+    bool tiny_sched = false;
 };
 
 // Deterministic spread over the paper's axes: bare core vs PFM component
@@ -54,6 +60,8 @@ const FfConfig kConfigs[] = {
     {"astar_pmp", "astar", "pmp", "clk4_w4 delay0 queue32 portALL"},
     {"lbm_pmp", "lbm", "pmp", ""},
     {"bfs_pmp_slowclk", "bfs-roads", "pmp", "clk8_w2"},
+    {"bwaves_pf_tinysched", "bwaves", "auto", "", true},
+    {"astar_bare_tinysched", "astar", "none", "", true},
 };
 
 SimOptions
@@ -66,6 +74,11 @@ ffOptions(const FfConfig& cfg, bool fastfwd)
     o.warmup_instructions = 8'000;
     if (cfg.tokens[0] != '\0')
         applyTokens(o, cfg.tokens);
+    if (cfg.tiny_sched) {
+        o.core.iq_size = 8;
+        o.core.alu_lanes = o.core.ls_lanes = o.core.fp_lanes = 1;
+        o.core.issue_width = 2;
+    }
     o.fastfwd = fastfwd;
     return o;
 }

@@ -15,10 +15,12 @@
 #include <cstdlib>
 #include <cstring>
 #include <ctime>
+#include <limits>
 #include <string>
 
 #include "common/log.h"
 #include "sim/daemon.h"
+#include "sim/options.h"
 
 namespace {
 
@@ -40,19 +42,6 @@ usage(const char* argv0)
     std::exit(2);
 }
 
-unsigned long long
-parseCount(const char* argv0, const std::string& arg, const char* value)
-{
-    char* end = nullptr;
-    errno = 0;
-    unsigned long long v = std::strtoull(value, &end, 0);
-    if (*value == '\0' || *end != '\0' || errno == ERANGE) {
-        std::fprintf(stderr, "bad number in '%s'\n", arg.c_str());
-        usage(argv0);
-    }
-    return v;
-}
-
 } // namespace
 
 int
@@ -65,10 +54,14 @@ main(int argc, char** argv)
             opt.socket_path = arg.substr(9);
         } else if (arg.rfind("--jobs=", 0) == 0) {
             opt.jobs = static_cast<unsigned>(
-                parseCount(argv[0], arg, arg.c_str() + 7));
+                pfm::parseNumber(arg.substr(7), 0, "'" + arg + "'",
+                                 std::numeric_limits<unsigned>::max()));
         } else if (arg.rfind("--cache-budget-mb=", 0) == 0) {
             opt.cache_budget_bytes =
-                parseCount(argv[0], arg, arg.c_str() + 18) << 20;
+                pfm::parseNumber(arg.substr(18), 0, "'" + arg + "'",
+                                 std::numeric_limits<std::uint64_t>::max() >>
+                                     20)
+                << 20;
         } else if (arg.rfind("--cache-dir=", 0) == 0) {
             opt.cache_dir = arg.substr(12);
         } else if (arg == "--keep-cache") {
