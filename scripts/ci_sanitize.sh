@@ -11,12 +11,14 @@
 # code UBSan pays off on (shift widths, popcount-driven indexing). The
 # trace-frontend suite joins for the same reason: block (de)compression,
 # CRC framing, and record decoding over deliberately corrupted trace
-# files are untrusted-input byte-twiddling. From pfm_tests, the checkpoint
-# image reader (corrupt headers, frames and flags) and the memory
-# hierarchy's plane and slot-array loaders run through a --gtest_filter,
-# as do the core scheduler suites: the wait lists and the ready-bit ring
-# are slot and index arithmetic the sanitizers check. The rest of that
-# binary is long simulation runs the plain build covers.
+# files are untrusted-input byte-twiddling; its label also carries the
+# trace identity suites (Configs/TraceReplayIdentity.*, TraceCheckpoint.*),
+# which digest the whole machine. From pfm_tests, the checkpoint image
+# reader (corrupt headers, frames and flags), the machine-digest oracle
+# and the memory hierarchy's plane and slot-array loaders run through a
+# --gtest_filter, as do the core scheduler suites: the wait lists and the
+# ready-bit ring are slot and index arithmetic the sanitizers check. The
+# rest of that binary is long simulation runs the plain build covers.
 #
 # Usage: scripts/ci_sanitize.sh [build-dir]   (default: build-sanitize)
 set -eu
@@ -29,7 +31,8 @@ cmake --build "$BUILD_DIR" -j"$(nproc)" --target pfm_daemon_tests \
     pfm_ckpt_store_tests pfm_pmp_tests pfm_trace_tests pfm_tests \
     pfm_daemon pfm_client
 (cd "$BUILD_DIR" && ctest -L 'daemon|ckptstore|pmp|trace' --output-on-failure -j2)
-SUITES='Checkpoint*:MemoryCheckpoint*:Cache.*:Dram.*:HierarchyTest.*'
+SUITES='Checkpoint*:MachineDigest.*:MemoryCheckpoint*:Cache.*:Dram.*'
+SUITES="$SUITES:HierarchyTest.*"
 SUITES="$SUITES:Geometries/CacheProperty.*:LayoutEquiv.*"
 SUITES="$SUITES:Core.*:CoreSlab.*:FastForward.*:CoreParamProperty.*"
 "$BUILD_DIR/tests/pfm_tests" --gtest_filter="$SUITES"

@@ -6,7 +6,6 @@
 #include <cstdlib>
 
 #include "branch/bimodal.h"
-#include "branch/gshare.h"
 #include "branch/tage_scl.h"
 #include "common/log.h"
 #include "sim/trace.h"
@@ -84,12 +83,6 @@ Core::Core(const CoreParams& params, InstSource& engine, Hierarchy& memory)
     switch (params_.bp_kind) {
       case BpKind::kTageScl:
         bp_ = std::make_unique<TageSclPredictor>();
-        break;
-      case BpKind::kTage:
-        bp_ = std::make_unique<TagePredictor>();
-        break;
-      case BpKind::kGshare:
-        bp_ = std::make_unique<GsharePredictor>();
         break;
       case BpKind::kBimodal:
         bp_ = std::make_unique<BimodalPredictor>();

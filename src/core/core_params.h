@@ -10,12 +10,15 @@
 
 namespace pfm {
 
+/**
+ * Values are explicit: configFingerprint() hashes them into every
+ * checkpoint header (and the golden fixture uses kBimodal), so a deleted
+ * kind leaves a gap rather than renumbering the rest.
+ */
 enum class BpKind {
-    kTageScl,   ///< Table 1 baseline: 64KB TAGE-SC-L
-    kTage,
-    kGshare,
-    kBimodal,
-    kPerfect,   ///< oracle (perfBP experiments)
+    kTageScl = 0,   ///< Table 1 baseline: 64KB TAGE-SC-L
+    kBimodal = 3,
+    kPerfect = 4,   ///< oracle (perfBP experiments)
 };
 
 struct CoreParams {

@@ -115,10 +115,12 @@ class CustomComponent : public CacheEventObserver
     virtual void dumpDebug(std::ostream& os) const;
 
     /**
-     * Whether this component implements checkpoint/restore. PfmSystem
-     * refuses (pfm_fatal, naming the component) to checkpoint through a
-     * component that does not opt in — silently dropping component state
-     * would break the byte-identity guarantee.
+     * Whether this component implements checkpoint/restore. Simulator
+     * refuses (pfm_fatal, naming the component) to save or load a
+     * checkpoint file through a component that does not opt in —
+     * silently dropping component state would break the byte-identity
+     * guarantee. Simulator::machineDigest() still covers such a
+     * component's framework state (the base saveState()).
      */
     virtual bool supportsCheckpoint() const { return false; }
 

@@ -281,10 +281,6 @@ PfmSystem::beginRoiAtBoundary()
 void
 PfmSystem::saveState(CkptWriter& w) const
 {
-    if (component_ && !component_->supportsCheckpoint()) {
-        pfm_fatal("component '%s' does not support checkpointing",
-                  component_->name().c_str());
-    }
     w.put(next_context_switch_);
     w.put(reconfig_until_);
     fetch_agent_.saveState(w);
@@ -301,10 +297,6 @@ PfmSystem::saveState(CkptWriter& w) const
 void
 PfmSystem::loadState(CkptReader& r)
 {
-    if (component_ && !component_->supportsCheckpoint()) {
-        pfm_fatal("component '%s' does not support checkpointing",
-                  component_->name().c_str());
-    }
     r.get(next_context_switch_);
     r.get(reconfig_until_);
     fetch_agent_.loadState(r);

@@ -79,8 +79,9 @@ class PfmSystem : public CoreHooks
 
     /**
      * Checkpoint the agents, timers, stats and the attached component.
-     * Fatal (naming the component) when the component does not support
-     * checkpointing — see CustomComponent::supportsCheckpoint().
+     * A component without checkpoint support writes only its framework
+     * state; Simulator refuses to save or restore a file through it (see
+     * CustomComponent::supportsCheckpoint()).
      */
     void saveState(CkptWriter& w) const;
     void loadState(CkptReader& r);

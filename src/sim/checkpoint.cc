@@ -39,12 +39,12 @@ makeCrcTables()
 } // namespace
 
 std::uint32_t
-ckptCrc32(const void* data, std::size_t n) noexcept
+ckptCrc32(const void* data, std::size_t n, std::uint32_t prev) noexcept
 {
     static const auto tables = makeCrcTables();
     const auto& t = tables;
     const auto* p = static_cast<const std::uint8_t*>(data);
-    std::uint32_t crc = 0xFFFFFFFFu;
+    std::uint32_t crc = prev ^ 0xFFFFFFFFu;
     while (n >= 8) {
         std::uint32_t lo;
         std::uint32_t hi;
@@ -70,13 +70,6 @@ ckptCompressEnabled(bool store_mode)
     if (env && *env)
         return std::string(env) != "0";
     return store_mode;
-}
-
-bool
-ckptStoreEnabled()
-{
-    const char* env = std::getenv("PFM_CKPT_STORE");
-    return !env || std::string(env) != "0";
 }
 
 // ---------------------------------------------------------------- writer
@@ -156,6 +149,8 @@ CkptWriter::beginSection(const std::string& name)
     in_section_ = true;
     section_ = name;
     sec_start_ = out_.size();
+    sec_crc_ = 0;
+    sec_bytes_ = 0;
 }
 
 void
@@ -163,13 +158,21 @@ CkptWriter::endSection()
 {
     pfm_assert(in_section_, "endSection() with no open section");
     in_section_ = false;
-    secs_.push_back(Sec{section_, sec_start_, out_.size() - sec_start_});
+    if (digest_only_)
+        digests_.push_back({section_, sec_crc_, sec_bytes_});
+    else
+        secs_.push_back(Sec{section_, sec_start_, out_.size() - sec_start_});
 }
 
 void
 CkptWriter::putBytes(const void* p, std::size_t n)
 {
     pfm_assert(in_section_, "checkpoint write outside a section");
+    if (digest_only_) {
+        sec_crc_ = ckptCrc32(p, n, sec_crc_);
+        sec_bytes_ += n;
+        return;
+    }
     appendBytes(out_, p, n);
 }
 
@@ -185,6 +188,7 @@ CkptWriter::finish()
 {
     pfm_assert(!in_section_, "finish() with section '%s' still open",
                section_.c_str());
+    pfm_assert(!digest_only_, "finish() on a digest-only writer");
 
     std::vector<std::uint8_t> file;
     const bool store = !store_rel_.empty();

@@ -74,18 +74,16 @@ constexpr std::uint32_t kCkptFormatVersion = 4;
  */
 bool ckptCompressEnabled(bool store_mode);
 
-/**
- * Store policy from the PFM_CKPT_STORE env knob: "0" makes sharded
- * sweeps and the daemon fall back to plain whole-image checkpoints;
- * anything else (including unset) keeps the content-addressed store on.
- */
-bool ckptStoreEnabled();
-
 /** "PFMCKPT\0" little-endian. */
 constexpr std::uint64_t kCkptMagic = 0x0054504b434d4650ull;
 
-/** CRC-32 (IEEE 802.3, reflected poly 0xEDB88320) of @p n bytes. */
-std::uint32_t ckptCrc32(const void* data, std::size_t n) noexcept;
+/**
+ * CRC-32 (IEEE 802.3, reflected poly 0xEDB88320) of @p n bytes. Pass the
+ * CRC of the preceding bytes as @p prev to continue a running CRC:
+ * ckptCrc32(b, nb, ckptCrc32(a, na)) is the CRC of a followed by b.
+ */
+std::uint32_t ckptCrc32(const void* data, std::size_t n,
+                        std::uint32_t prev = 0) noexcept;
 
 class CkptWriter;
 class CkptReader;
@@ -118,6 +116,13 @@ inline constexpr bool kCkptRawOk =
     (std::has_unique_object_representations_v<T> ||
      std::is_floating_point_v<T>);
 
+/** CRC32 and length of one section's raw payload (CkptWriter::digests). */
+struct CkptSectionDigest {
+    std::string name;
+    std::uint32_t crc = 0;
+    std::uint64_t bytes = 0;
+};
+
 /** Header fields echoed back by CkptReader::readHeader(). */
 struct CkptHeader {
     std::uint32_t version = 0;
@@ -146,6 +151,14 @@ class CkptWriter
 
     /** Compress section payloads (kept only when actually smaller). */
     void setCompress(bool on) { compress_ = on; }
+
+    /**
+     * Hash instead of buffer: every put() folds into the open section's
+     * running CRC-32 and nothing is stored or written, so digests() is
+     * this writer's only output (finish() is an error). Must be set
+     * before the first section.
+     */
+    void setDigestOnly() { digest_only_ = true; }
 
     void writeHeader(const CkptHeader& h);
 
@@ -199,6 +212,9 @@ class CkptWriter
     /** Flush the image or manifest to disk. No further use after this. */
     void finish();
 
+    /** One digest per closed section, in write order (digest-only mode). */
+    const std::vector<CkptSectionDigest>& digests() const { return digests_; }
+
     const std::string& path() const { return path_; }
 
   private:
@@ -215,6 +231,10 @@ class CkptWriter
     std::vector<Sec> secs_;
     std::string store_rel_;         ///< non-empty = manifest + blob store
     bool compress_ = false;
+    bool digest_only_ = false;
+    std::vector<CkptSectionDigest> digests_; ///< digest-only mode output
+    std::uint32_t sec_crc_ = 0;     ///< open section's running CRC (digest)
+    std::uint64_t sec_bytes_ = 0;   ///< open section's length (digest)
     std::size_t sec_start_ = 0;     ///< offset of the open section's payload
     std::string section_;
     bool in_section_ = false;

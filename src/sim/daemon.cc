@@ -832,25 +832,8 @@ DaemonServer::runLeg(const LegTask& task)
                     return stopping_.load() || st->cancelled.load();
                 };
                 SweepResult res = runSweepLeg(run, "", lease.path());
-                BenchJsonRow row;
-                row.label = task.label;
-                row.ipc = res.sim.ipc;
-                row.mpki = res.sim.mpki;
-                row.cycles = res.sim.cycles;
-                row.instructions = res.sim.instructions;
-                row.wall_ms = res.wall_ms;
-                row.ports = res.sim.ports;
-                if (res.sim.has_pf) {
-                    row.has_pf = true;
-                    row.pf_issued = res.sim.pf_issued;
-                    row.pf_useful = res.sim.pf_useful;
-                    row.pf_useless = res.sim.pf_useless;
-                    row.pf_late = res.sim.pf_late;
-                    row.pf_inflight = res.sim.pf_inflight;
-                    row.pf_coverage_pct = res.sim.pf_coverage_pct;
-                    row.pf_accuracy_pct = res.sim.pf_accuracy_pct;
-                }
-                out.json = formatBenchJsonRow(row, /*include_wall=*/false);
+                out.json = formatBenchJsonRow(
+                    benchJsonRow(task.label, res.sim), /*include_wall=*/false);
                 out.wall_ms = res.wall_ms;
                 out.ok = true;
             }
@@ -883,10 +866,10 @@ DaemonServer::warmFor(const SimOptions& leg_opt, const std::string& path)
     // it: warm, reset stats, save at the boundary, skip measurement. The
     // saved header carries the bare fingerprint, so any leg on this key
     // restores it regardless of component/PFM parameters. Saved through
-    // the content-addressed store by default: keys sharing section
-    // payloads (above all, keys differing only in warmup-irrelevant
-    // geometry) dedup against one blob set, and the LRU budget holds
-    // several times more keys for the same bytes.
+    // the content-addressed store: keys sharing section payloads (above
+    // all, keys differing only in warmup-irrelevant geometry) dedup
+    // against one blob set, and the LRU budget holds several times more
+    // keys for the same bytes.
     SweepRun warm;
     warm.label = "warmup";
     warm.opt = leg_opt;
@@ -894,8 +877,7 @@ DaemonServer::warmFor(const SimOptions& leg_opt, const std::string& path)
     warm.opt.defer_component = false;
     warm.opt.checkpoint_load.clear();
     warm.opt.cancel_poll = [this] { return stopping_.load(); };
-    runSweepLeg(warm, path, "",
-                ckptStoreEnabled() ? daemonStoreSubdir() : std::string());
+    runSweepLeg(warm, path, "", daemonStoreSubdir());
 }
 
 } // namespace pfm

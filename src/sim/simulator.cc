@@ -400,8 +400,51 @@ Simulator::run()
 }
 
 void
+Simulator::writeState(CkptWriter& w) const
+{
+    w.beginSection("engine");
+    source_->saveState(w);
+    w.endSection();
+    w.beginSection("memory");
+    mem_->saveState(w);
+    w.endSection();
+    w.beginSection("core");
+    core_->saveState(w);
+    w.endSection();
+    if (pfm_) {
+        w.beginSection("pfm");
+        pfm_->saveState(w);
+        w.endSection();
+    }
+}
+
+namespace {
+
+/**
+ * A component that does not opt into checkpointing keeps private state
+ * (often configuration snooped during warmup) that no section carries;
+ * saving or restoring through it would silently drop that state.
+ */
+void
+requireCheckpointable(PfmSystem* pfm)
+{
+    const CustomComponent* comp = pfm ? pfm->component() : nullptr;
+    if (comp && !comp->supportsCheckpoint()) {
+        pfm_fatal("component '%s' does not support checkpointing",
+                  comp->name().c_str());
+    }
+}
+
+} // namespace
+
+void
 Simulator::saveCheckpoint(const std::string& path)
 {
+    if (recorder_) {
+        pfm_fatal("cannot save a checkpoint while recording a trace "
+                  "(--record-trace and --checkpoint-save are exclusive)");
+    }
+    requireCheckpointable(pfm_.get());
     CkptWriter w(path);
     if (!opt_.ckpt_store.empty())
         w.setStore(opt_.ckpt_store);
@@ -417,22 +460,18 @@ Simulator::saveCheckpoint(const std::string& path)
     h.component = pfm_ ? opt_.component : "none";
     h.retired = core_->retired();
     w.writeHeader(h);
-
-    w.beginSection("engine");
-    source_->saveState(w);
-    w.endSection();
-    w.beginSection("memory");
-    mem_->saveState(w);
-    w.endSection();
-    w.beginSection("core");
-    core_->saveState(w);
-    w.endSection();
-    if (pfm_) {
-        w.beginSection("pfm");
-        pfm_->saveState(w);
-        w.endSection();
-    }
+    writeState(w);
     w.finish();
+}
+
+std::vector<CkptSectionDigest>
+Simulator::machineDigest() const
+{
+    CkptWriter w("");
+    w.setDigestOnly();
+    w.writeHeader(CkptHeader{});
+    writeState(w);
+    return w.digests();
 }
 
 void
@@ -476,6 +515,7 @@ Simulator::loadCheckpoint(const std::string& path)
     core_->loadState(r);
     r.endSection();
     if (pfm_) {
+        requireCheckpointable(pfm_.get());
         r.beginSection("pfm");
         pfm_->loadState(r);
         r.endSection();

@@ -16,6 +16,7 @@
 
 #include "core/core.h"
 #include "isa/functional_engine.h"
+#include "sim/checkpoint.h"
 #include "sim/trace.h"
 #include "pfm/pfm_system.h"
 #include "sim/options.h"
@@ -76,9 +77,23 @@ class Simulator
      * core, and the PFM system when attached) to @p path. The header
      * carries a config fingerprint so a checkpoint can only be restored
      * into a compatibly-configured simulator. Normally driven by
-     * SimOptions::checkpoint_save at the warmup boundary.
+     * SimOptions::checkpoint_save at the warmup boundary. Fatal while
+     * recording a trace, and with a component that does not support
+     * checkpointing (its private state would be lost on restore).
      */
     void saveCheckpoint(const std::string& path);
+
+    /**
+     * One CRC per checkpoint section (engine, memory, core[, pfm]) of the
+     * live machine: the sections saveCheckpoint() would write, hashed in
+     * memory with no file. Equal digests mean equal saved images — every
+     * cache plane, MSHR, stat counter and agent queue — so two runs can
+     * be compared whole at any point. Covers every configuration: a
+     * recording run digests its engine, and a component without
+     * checkpoint support contributes its framework state (not its
+     * private state) to the pfm section.
+     */
+    std::vector<CkptSectionDigest> machineDigest() const;
 
     /**
      * Restore machine state from @p path into this freshly constructed
@@ -100,6 +115,9 @@ class Simulator
 
   private:
     void attachComponent();
+
+    /** The section sequence shared by saveCheckpoint and machineDigest. */
+    void writeState(CkptWriter& w) const;
 
     SimOptions opt_;
     Workload workload_;

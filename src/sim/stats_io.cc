@@ -128,8 +128,6 @@ configSummary(const CoreParams& core, const HierarchyParams& mem)
     os << "superscalar core and memory hierarchy (cf. paper Table 1)\n";
     os << "  branch predictor     : "
        << (core.bp_kind == BpKind::kTageScl   ? "64KB-class TAGE-SC-L"
-           : core.bp_kind == BpKind::kTage    ? "TAGE"
-           : core.bp_kind == BpKind::kGshare  ? "gshare"
            : core.bp_kind == BpKind::kBimodal ? "bimodal"
                                               : "perfect (oracle)")
        << "\n";

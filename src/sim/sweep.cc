@@ -168,15 +168,13 @@ SweepRunner::run(const SweepSpec& spec)
     for (std::size_t i = 0; i < runs.size(); ++i)
         phases[runs[i].warmup_only ? 0 : 1].push_back(i);
 
-    // Warmup checkpoints go through the content-addressed store by
-    // default: configs sharing a bare-core image dedup to one blob set
-    // per unique payload instead of N whole images (PFM_CKPT_STORE=0
-    // restores the plain whole-image behaviour).
+    // Warmup checkpoints go through the content-addressed store: configs
+    // sharing a bare-core image dedup to one blob set per unique payload
+    // instead of N whole images.
     const std::string store_subdir =
-        sharded && ckptStoreEnabled()
-            ? "pfm_store_" +
-                  std::to_string(static_cast<unsigned long>(::getpid()))
-            : std::string();
+        sharded ? "pfm_store_" +
+                      std::to_string(static_cast<unsigned long>(::getpid()))
+                : std::string();
 
     static const std::string kNoPath;
     auto run_one = [&](std::size_t i) {
@@ -310,6 +308,30 @@ resolveJobs(int argc, char** argv)
     return hw ? clampJobs(hw) : 1;
 }
 
+BenchJsonRow
+benchJsonRow(const std::string& label, const SimResult& r, double wall_ms)
+{
+    BenchJsonRow row;
+    row.label = label;
+    row.ipc = r.ipc;
+    row.mpki = r.mpki;
+    row.cycles = r.cycles;
+    row.instructions = r.instructions;
+    row.wall_ms = wall_ms;
+    row.ports = r.ports;
+    if (r.has_pf) {
+        row.has_pf = true;
+        row.pf_issued = r.pf_issued;
+        row.pf_useful = r.pf_useful;
+        row.pf_useless = r.pf_useless;
+        row.pf_late = r.pf_late;
+        row.pf_inflight = r.pf_inflight;
+        row.pf_coverage_pct = r.pf_coverage_pct;
+        row.pf_accuracy_pct = r.pf_accuracy_pct;
+    }
+    return row;
+}
+
 std::string
 emitBenchJson(const std::string& name, const SweepSpec& spec,
               const SweepRunner& runner)
@@ -322,24 +344,8 @@ emitBenchJson(const std::string& name, const SweepSpec& spec,
     std::vector<BenchJsonRow> rows;
     rows.reserve(runs.size());
     for (std::size_t i = 0; i < runs.size(); ++i) {
-        BenchJsonRow row;
-        row.label = runs[i].label;
-        row.ipc = results[i].sim.ipc;
-        row.mpki = results[i].sim.mpki;
-        row.cycles = results[i].sim.cycles;
-        row.instructions = results[i].sim.instructions;
-        row.wall_ms = results[i].wall_ms;
-        row.ports = results[i].sim.ports;
-        if (results[i].sim.has_pf) {
-            row.has_pf = true;
-            row.pf_issued = results[i].sim.pf_issued;
-            row.pf_useful = results[i].sim.pf_useful;
-            row.pf_useless = results[i].sim.pf_useless;
-            row.pf_late = results[i].sim.pf_late;
-            row.pf_inflight = results[i].sim.pf_inflight;
-            row.pf_coverage_pct = results[i].sim.pf_coverage_pct;
-            row.pf_accuracy_pct = results[i].sim.pf_accuracy_pct;
-        }
+        BenchJsonRow row = benchJsonRow(runs[i].label, results[i].sim,
+                                        results[i].wall_ms);
         if (runs[i].speedup_base.valid()) {
             row.has_speedup = true;
             row.speedup_pct = speedupPct(

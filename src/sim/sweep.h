@@ -22,6 +22,7 @@
 
 #include "sim/options.h"
 #include "sim/simulator.h"
+#include "sim/stats_io.h"
 
 namespace pfm {
 
@@ -160,6 +161,14 @@ class SweepRunner
  * hardware default.
  */
 unsigned resolveJobs(int argc = 0, char** argv = nullptr);
+
+/**
+ * The BENCH JSON row of one finished run: its result counters, port
+ * telemetry and (when reported) prefetch accounting, without a speedup.
+ * Sweep reports and daemon replies both build rows here.
+ */
+BenchJsonRow benchJsonRow(const std::string& label, const SimResult& r,
+                          double wall_ms = 0);
 
 /**
  * Write BENCH_<name>.json (into PFM_BENCH_JSON_DIR, default the working

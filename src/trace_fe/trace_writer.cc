@@ -90,13 +90,6 @@ TraceWriter::finish()
 }
 
 void
-TraceRecorder::saveState(CkptWriter&) const
-{
-    pfm_fatal("cannot save a checkpoint while recording a trace "
-              "(--record-trace and --checkpoint-save are exclusive)");
-}
-
-void
 TraceRecorder::loadState(CkptReader&)
 {
     pfm_fatal("cannot restore a checkpoint while recording a trace "

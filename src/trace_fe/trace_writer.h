@@ -61,8 +61,9 @@ class TraceWriter
  * InstSource adaptor: passes every call through to @p inner and records
  * each step()'s DynInst. Checkpointing while recording is rejected — the
  * writer's stream position is not checkpointable state (Simulator
- * rejects the flag combination up front; the fatal here is the
- * backstop).
+ * rejects the flag combination up front and refuses saveCheckpoint();
+ * the fatal loadState() is the backstop). saveState() writes the inner
+ * source's state, so Simulator::machineDigest() covers a recording run.
  */
 class TraceRecorder : public InstSource
 {
@@ -92,7 +93,7 @@ class TraceRecorder : public InstSource
         return inner_.sourceFingerprint();
     }
 
-    void saveState(CkptWriter&) const override;
+    void saveState(CkptWriter& w) const override { inner_.saveState(w); }
     void loadState(CkptReader&) override;
 
     /** Seal the trace file (end block + final header + rename). */

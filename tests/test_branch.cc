@@ -1,6 +1,6 @@
 /**
  * @file
- * Unit tests for the branch predictors: bimodal, gshare, TAGE, loop
+ * Unit tests for the branch predictors: bimodal, TAGE, loop
  * predictor and the TAGE-SC-L composite. Pattern-learning properties use
  * accuracy thresholds rather than exact counts.
  */
@@ -10,7 +10,6 @@
 #include <functional>
 
 #include "branch/bimodal.h"
-#include "branch/gshare.h"
 #include "branch/loop_predictor.h"
 #include "branch/tage.h"
 #include "branch/tage_scl.h"
@@ -50,22 +49,6 @@ TEST(Bimodal, FailsOnAlternation)
     double acc =
         accuracy(bp, 0x1000, 1000, [](unsigned i) { return i % 2 == 0; });
     EXPECT_LT(acc, 0.7);
-}
-
-TEST(Gshare, LearnsAlternation)
-{
-    GsharePredictor bp;
-    double acc =
-        accuracy(bp, 0x1000, 2000, [](unsigned i) { return i % 2 == 0; });
-    EXPECT_GT(acc, 0.95);
-}
-
-TEST(Gshare, LearnsShortPeriodicPattern)
-{
-    GsharePredictor bp;
-    double acc = accuracy(bp, 0x1000, 4000,
-                          [](unsigned i) { return (i % 5) < 2; });
-    EXPECT_GT(acc, 0.9);
 }
 
 TEST(Tage, LearnsBias)

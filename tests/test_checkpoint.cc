@@ -5,8 +5,8 @@
  * Property: for a spread of configurations (bare core vs PFM component,
  * fastfwd on/off, short/long warmups) a run that saves a checkpoint at
  * the warmup boundary and a second run that restores it must together be
- * indistinguishable from one uninterrupted run — same SimResult, byte-
- * identical stat dumps. Corruption tests: every malformed checkpoint
+ * indistinguishable from one uninterrupted run — same BENCH row and the
+ * same whole-machine digest (tests/identity.h). Corruption tests: every malformed checkpoint
  * (truncated, bit-flipped, wrong version, reordered sections, trailing
  * garbage, config drift) dies through pfm_fatal naming the checkpoint and
  * the offending section — never a crash or a silent misload. The
@@ -15,6 +15,7 @@
  * bump). (Store-mode coverage lives in test_ckpt_store.cc.)
  */
 
+#include <gtest/gtest-spi.h>
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -30,6 +31,7 @@
 #include <sys/stat.h>
 #include <unistd.h>
 
+#include "identity.h"
 #include "sim/checkpoint.h"
 #include "sim/options.h"
 #include "sim/simulator.h"
@@ -42,18 +44,6 @@ std::string
 tmpPath(const std::string& name)
 {
     return ::testing::TempDir() + name;
-}
-
-/** Every stat registry the simulator owns, dumped to one string. */
-std::string
-dumpAllStats(Simulator& sim)
-{
-    std::ostringstream os;
-    sim.core().stats().dump(os);
-    sim.memory().stats().dump(os);
-    if (sim.pfm())
-        sim.pfm()->stats().dump(os);
-    return os.str();
 }
 
 std::vector<unsigned char>
@@ -144,19 +134,14 @@ TEST(Checkpoint, RoundTripIdentityAcrossConfigs)
         Simulator loader(load_opt);
         SimResult r_load = loader.run();
 
-        // Saving must not perturb the run it happens in...
-        EXPECT_EQ(r_ref.cycles, r_save.cycles);
-        EXPECT_EQ(r_ref.ipc, r_save.ipc);
-        // ...and the restored run must be indistinguishable from the
-        // uninterrupted one.
-        EXPECT_EQ(r_ref.cycles, r_load.cycles);
-        EXPECT_EQ(r_ref.instructions, r_load.instructions);
-        EXPECT_EQ(r_ref.ipc, r_load.ipc);
-        EXPECT_EQ(r_ref.mpki, r_load.mpki);
-        EXPECT_EQ(r_ref.rst_hit_pct, r_load.rst_hit_pct);
-        EXPECT_EQ(r_ref.fst_hit_pct, r_load.fst_hit_pct);
-        EXPECT_EQ(r_ref.finished, r_load.finished);
-        EXPECT_EQ(dumpAllStats(ref), dumpAllStats(loader));
+        // Saving must not perturb the run it happens in, and the
+        // restored run must be indistinguishable from the uninterrupted
+        // one.
+        const MachineDigest d_ref = ref.machineDigest();
+        expectSameRow(r_ref, r_save);
+        expectSameMachine(d_ref, saver.machineDigest());
+        expectSameRow(r_ref, r_load);
+        expectSameMachine(d_ref, loader.machineDigest());
 
         std::remove(path.c_str());
     }
@@ -188,9 +173,8 @@ TEST(Checkpoint, WarmupOnlyLegPlusMeasurementLegMatchesUninterrupted)
     Simulator loader(meas);
     SimResult r_load = loader.run();
 
-    EXPECT_EQ(r_ref.cycles, r_load.cycles);
-    EXPECT_EQ(r_ref.ipc, r_load.ipc);
-    EXPECT_EQ(dumpAllStats(ref), dumpAllStats(loader));
+    expectSameRow(r_ref, r_load);
+    expectSameMachine(ref, loader);
     std::remove(path.c_str());
 }
 
@@ -228,9 +212,8 @@ TEST(Checkpoint, BareWarmupSharedAcrossDeferredConfigs)
         Simulator loader(load);
         SimResult r_load = loader.run();
 
-        EXPECT_EQ(r_ref.cycles, r_load.cycles);
-        EXPECT_EQ(r_ref.ipc, r_load.ipc);
-        EXPECT_EQ(dumpAllStats(ref), dumpAllStats(loader));
+        expectSameRow(r_ref, r_load);
+        expectSameMachine(ref, loader);
     }
     std::remove(path.c_str());
 }
@@ -267,9 +250,8 @@ TEST(Checkpoint, PmpWarmupAndDeferredAttachIdentity)
     Simulator loader(load);
     SimResult r_load = loader.run();
 
-    EXPECT_EQ(r_ref.cycles, r_load.cycles);
-    EXPECT_EQ(r_ref.ipc, r_load.ipc);
-    EXPECT_EQ(dumpAllStats(ref), dumpAllStats(loader));
+    expectSameRow(r_ref, r_load);
+    expectSameMachine(ref, loader);
     std::remove(path.c_str());
 }
 
@@ -300,9 +282,10 @@ TEST(Checkpoint, SavedFilesAreByteIdentical)
 
 TEST(Checkpoint, SweepRunnerShardedMatchesSerialReference)
 {
-    // End-to-end through the two-phase SweepRunner: a warmup leg plus a
-    // measurement leg must reproduce the uninterrupted deferred run, with
-    // the runner assigning and cleaning up the checkpoint path.
+    // End-to-end through the two-phase SweepRunner: a warmup leg saved
+    // through the content-addressed store plus a measurement leg must
+    // reproduce the uninterrupted deferred run, with the runner assigning
+    // and cleaning up the checkpoint path.
     auto leg = []() {
         SimOptions o;
         o.workload = "lbm";
@@ -326,15 +309,71 @@ TEST(Checkpoint, SweepRunnerShardedMatchesSerialReference)
     SweepRunner runner(2);
     runner.run(spec);
 
-    const SimResult& a = runner.sim(serial);
-    const SimResult& b = runner.sim(shard);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_EQ(a.instructions, b.instructions);
-    EXPECT_EQ(a.ipc, b.ipc);
-    EXPECT_EQ(a.mpki, b.mpki);
+    expectSameRow(runner.sim(serial), runner.sim(shard));
     // The warmup leg retired exactly the warmup budget and measured
     // nothing.
     EXPECT_EQ(0.0, runner.sim(w).ipc);
+}
+
+// ------------------------------------------------------------------ oracle
+
+TEST(MachineDigest, EqualRunsAgreeAndOneCounterNamesItsSection)
+{
+    SimOptions o;
+    o.workload = "lbm";
+    o.component = "auto";
+    o.warmup_instructions = 2000;
+    o.max_instructions = 8000;
+    Simulator a(o);
+    a.run();
+    Simulator b(o);
+    b.run();
+
+    // The digest-only writer folds each put() into a running CRC.
+    EXPECT_EQ(ckptCrc32("abcdefghij", 10),
+              ckptCrc32("hij", 3, ckptCrc32("abcdefg", 7)));
+
+    const MachineDigest da = a.machineDigest();
+    ASSERT_EQ(4u, da.size());
+    EXPECT_EQ("engine", da[0].name);
+    EXPECT_EQ("memory", da[1].name);
+    EXPECT_EQ("core", da[2].name);
+    EXPECT_EQ("pfm", da[3].name);
+    expectSameMachine(da, b.machineDigest());
+
+    // One L1D counter is a few bytes of a multi-megabyte image; the
+    // oracle must still see it and blame the hierarchy.
+    ++b.memory().l1d().stats().counter("misses");
+    EXPECT_NONFATAL_FAILURE(expectSameMachine(da, b.machineDigest()),
+                            "section 'memory'");
+    expectSameMachine(da, b.machineDigest(), {"memory"});
+}
+
+TEST(MachineDigest, UncoveredComponentListIsExact)
+{
+    // Every component the simulator can attach: the ones that do not
+    // checkpoint (whose private state the digest misses) must be exactly
+    // the declared list, so the list can only shrink.
+    const std::pair<const char*, const char*> kAttachable[] = {
+        {"astar", "auto"},       {"astar", "alt"},
+        {"astar", "slipstream"}, {"bfs-roads", "auto"},
+        {"bfs-roads", "slipstream"}, {"libquantum", "auto"},
+        {"bwaves", "auto"},      {"lbm", "auto"},
+        {"milc", "auto"},        {"leslie", "auto"},
+        {"lbm", "pmp"},
+    };
+    std::set<std::string> uncovered;
+    for (const auto& [workload, component] : kAttachable) {
+        SimOptions o;
+        o.workload = workload;
+        o.component = component;
+        Simulator sim(o);
+        ASSERT_NE(nullptr, sim.pfm());
+        const CustomComponent* comp = sim.pfm()->component();
+        if (!comp->supportsCheckpoint())
+            uncovered.insert(comp->name());
+    }
+    EXPECT_EQ(kDigestUncoveredComponents, uncovered);
 }
 
 // ------------------------------------------------------------- serializer
@@ -835,8 +874,8 @@ TEST(CheckpointDeathTest, CorruptPmpSectionIsFatalWithSectionName)
 TEST(CheckpointDeathTest, UnsupportedComponentSaveIsFatal)
 {
     // The astar predictor's configuration is snooped during warmup;
-    // checkpointing through it would silently drop that state, so
-    // PfmSystem must refuse by name.
+    // checkpointing through it would silently drop that state, so the
+    // simulator must refuse by name.
     auto save_astar_auto = [] {
         SimOptions o;
         o.workload = "astar";
@@ -880,8 +919,9 @@ fixtureOptions()
 
 /**
  * Restore @p fixture and digest the resulting report (SimResult head +
- * every stat dump). With @p regen set, write the digest to
- * @p digest_file instead of comparing against it.
+ * the core and memory stat dumps; the fixture is bare-core). With
+ * @p regen set, write the digest to @p digest_file instead of comparing
+ * against it.
  */
 void
 checkFixtureDigest(const std::string& fixture,
@@ -897,7 +937,11 @@ checkFixtureDigest(const std::string& fixture,
                   "cycles=%llu instructions=%llu ipc=%.17g mpki=%.17g\n",
                   (unsigned long long)r.cycles,
                   (unsigned long long)r.instructions, r.ipc, r.mpki);
-    const std::string report = head + dumpAllStats(sim);
+    std::ostringstream report_os;
+    report_os << head;
+    sim.core().stats().dump(report_os);
+    sim.memory().stats().dump(report_os);
+    const std::string report = report_os.str();
     char digest[16];
     std::snprintf(digest, sizeof digest, "%08x",
                   ckptCrc32(report.data(), report.size()));

@@ -5,9 +5,10 @@
  * (bit-flipped/truncated/missing blobs, tampered manifests, hash
  * collisions). The identity property mirrors test_checkpoint.cc's: a
  * restore from the compressed+deduped store must be indistinguishable —
- * same SimResult, byte-identical stat dumps — from a restore of a plain
- * whole-image checkpoint, across the same 9-config matrix and an 8-leg
- * lbm farm whose shared warmups must dedup at least 5x.
+ * same BENCH row, same whole-machine digest (tests/identity.h) — from a
+ * restore of a plain whole-image checkpoint, across the same 9-config
+ * matrix and an 8-leg lbm farm whose shared warmups must dedup at least
+ * 5x.
  */
 
 #include <gtest/gtest.h>
@@ -15,10 +16,8 @@
 #include <algorithm>
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -27,11 +26,11 @@
 #include <unistd.h>
 
 #include "common/lz.h"
+#include "identity.h"
 #include "sim/checkpoint.h"
 #include "sim/ckpt_store.h"
 #include "sim/options.h"
 #include "sim/simulator.h"
-#include "sim/sweep.h"
 
 namespace pfm {
 namespace {
@@ -40,18 +39,6 @@ std::string
 tmpPath(const std::string& name)
 {
     return ::testing::TempDir() + name;
-}
-
-/** Every stat registry the simulator owns, dumped to one string. */
-std::string
-dumpAllStats(Simulator& sim)
-{
-    std::ostringstream os;
-    sim.core().stats().dump(os);
-    sim.memory().stats().dump(os);
-    if (sim.pfm())
-        sim.pfm()->stats().dump(os);
-    return os.str();
 }
 
 std::vector<std::uint8_t>
@@ -507,8 +494,8 @@ ckSaveOptions(const CkConfig& cfg)
 /**
  * Saves every leg of @p farm twice — as a plain whole image and, through
  * one store shared by the farm, as a manifest — then restores each leg
- * from both and expects the same SimResult and byte-identical stat
- * dumps. Returns plain bytes / store bytes (manifests plus blobs).
+ * from both and expects the same row and machine digest. Returns plain
+ * bytes / store bytes (manifests plus blobs).
  */
 double
 expectStoreMatchesPlain(const std::string& farm_name,
@@ -546,12 +533,8 @@ expectStoreMatchesPlain(const std::string& farm_name,
         Simulator dut(load_store);
         SimResult r_store = dut.run();
 
-        EXPECT_EQ(r_plain.cycles, r_store.cycles);
-        EXPECT_EQ(r_plain.instructions, r_store.instructions);
-        EXPECT_EQ(r_plain.ipc, r_store.ipc);
-        EXPECT_EQ(r_plain.mpki, r_store.mpki);
-        EXPECT_EQ(r_plain.finished, r_store.finished);
-        EXPECT_EQ(dumpAllStats(ref), dumpAllStats(dut));
+        expectSameRow(r_plain, r_store);
+        expectSameMachine(ref, dut);
 
         std::remove(plain.c_str());
         std::remove(via_store.c_str());
@@ -570,56 +553,6 @@ TEST(CkptStore, StoreRestoreMatchesPlainRestoreAcrossConfigs)
             << cfg.name;
     // Across the farm, shared warmups dedup to the store's 5x floor.
     EXPECT_GE(expectStoreMatchesPlain("lbm_farm", kLbmFarm), 5.0);
-}
-
-TEST(CkptStore, ShardedSweepViaStoreMatchesPlainCheckpoints)
-{
-    // SweepRunner end-to-end: the same sharded spec run once through the
-    // store (default) and once with PFM_CKPT_STORE=0 (plain whole-image
-    // warmup files) must produce identical measurement rows.
-    ::setenv("PFM_CKPT_DIR", ::testing::TempDir().c_str(), 1);
-    auto build = [] {
-        SweepSpec spec;
-        SimOptions warm;
-        warm.workload = "libquantum";
-        warm.component = "none";
-        warm.warmup_instructions = 4000;
-        RunHandle w = spec.addWarmup("warm", warm);
-        for (const char* tokens : {"clk4_w4 delay0", "clk8_w1 delay8"}) {
-            SimOptions leg;
-            leg.workload = "libquantum";
-            leg.component = "auto";
-            leg.defer_component = true;
-            leg.warmup_instructions = 4000;
-            leg.max_instructions = 16'000;
-            applyTokens(leg, tokens);
-            spec.addMeasurement(tokens, leg, w);
-        }
-        return spec;
-    };
-
-    SweepRunner store_runner(2);
-    SweepSpec spec = build();
-    store_runner.run(spec);
-    std::vector<SweepResult> via_store = store_runner.results();
-
-    ::setenv("PFM_CKPT_STORE", "0", 1);
-    SweepRunner plain_runner(2);
-    SweepSpec plain_spec = build();
-    plain_runner.run(plain_spec);
-    ::unsetenv("PFM_CKPT_STORE");
-    ::unsetenv("PFM_CKPT_DIR");
-
-    ASSERT_EQ(via_store.size(), plain_runner.results().size());
-    for (std::size_t i = 0; i < via_store.size(); ++i) {
-        SCOPED_TRACE(i);
-        const SimResult& a = via_store[i].sim;
-        const SimResult& b = plain_runner.results()[i].sim;
-        EXPECT_EQ(a.cycles, b.cycles);
-        EXPECT_EQ(a.instructions, b.instructions);
-        EXPECT_EQ(a.ipc, b.ipc);
-        EXPECT_EQ(a.mpki, b.mpki);
-    }
 }
 
 // ------------------------------------------------------------- corruption

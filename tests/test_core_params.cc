@@ -194,8 +194,7 @@ TEST_P(BpKindSweep, AllPredictorsRunLoopsCorrectly)
 }
 
 INSTANTIATE_TEST_SUITE_P(Kinds, BpKindSweep,
-                         ::testing::Values(BpKind::kTageScl, BpKind::kTage,
-                                           BpKind::kGshare,
+                         ::testing::Values(BpKind::kTageScl,
                                            BpKind::kBimodal,
                                            BpKind::kPerfect));
 

@@ -37,10 +37,10 @@
 
 #include "common/framing.h"
 #include "common/log.h"
+#include "identity.h"
 #include "sim/daemon.h"
 #include "sim/options.h"
 #include "sim/simulator.h"
-#include "sim/stats_io.h"
 
 namespace pfm {
 namespace {
@@ -182,16 +182,7 @@ directRow(const std::string& workload, const std::string& component,
     if (!tokens.empty())
         applyTokens(o, tokens);
     o.defer_component = component != "none";
-    Simulator sim(o);
-    SimResult res = sim.run();
-    BenchJsonRow row;
-    row.label = tokens.empty() ? "default" : tokens;
-    row.ipc = res.ipc;
-    row.mpki = res.mpki;
-    row.cycles = res.cycles;
-    row.instructions = res.instructions;
-    row.ports = res.ports;
-    return formatBenchJsonRow(row, /*include_wall=*/false);
+    return rowText(runSim(o), tokens.empty() ? "default" : tokens);
 }
 
 /** In-process daemon with its own socket + cache dir, stopped on scope exit. */

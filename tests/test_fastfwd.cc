@@ -3,11 +3,12 @@
  * Property tests for the event-horizon fast-forward: for a spread of
  * randomized configurations (workload x component x clk/width x token
  * extras), a simulation with fastfwd on must produce the *identical*
- * machine state as one with fastfwd off — same final cycle count, same
- * SimResult, and byte-identical stat dumps across core, memory hierarchy
- * and the PFM system. Fast-forward is a pure wall-clock optimisation; any
- * observable difference is a bug in a nextEventCycle() source (see
- * DESIGN.md, "Fast-forward invariants").
+ * machine state as one with fastfwd off — same BENCH row and the same
+ * whole-machine digest (tests/identity.h: every cache plane, queue and
+ * stat counter of the engine, hierarchy, core and PFM system).
+ * Fast-forward is a pure wall-clock optimisation; any observable
+ * difference is a bug in a nextEventCycle() source (see DESIGN.md,
+ * "Fast-forward invariants").
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "identity.h"
 #include "sim/options.h"
 #include "sim/simulator.h"
 
@@ -83,18 +85,6 @@ ffOptions(const FfConfig& cfg, bool fastfwd)
     return o;
 }
 
-/** Every stat registry the simulator owns, dumped to one string. */
-std::string
-dumpAllStats(Simulator& sim)
-{
-    std::ostringstream os;
-    sim.core().stats().dump(os);
-    sim.memory().stats().dump(os);
-    if (sim.pfm())
-        sim.pfm()->stats().dump(os);
-    return os.str();
-}
-
 TEST(FastForward, IdenticalStateAcrossConfigs)
 {
     for (const FfConfig& cfg : kConfigs) {
@@ -105,15 +95,8 @@ TEST(FastForward, IdenticalStateAcrossConfigs)
         Simulator on(ffOptions(cfg, true));
         SimResult r_on = on.run();
 
-        EXPECT_EQ(r_off.cycles, r_on.cycles);
-        EXPECT_EQ(r_off.instructions, r_on.instructions);
-        EXPECT_EQ(r_off.ipc, r_on.ipc);
-        EXPECT_EQ(r_off.mpki, r_on.mpki);
-        EXPECT_EQ(r_off.rst_hit_pct, r_on.rst_hit_pct);
-        EXPECT_EQ(r_off.fst_hit_pct, r_on.fst_hit_pct);
-        EXPECT_EQ(r_off.finished, r_on.finished);
-
-        EXPECT_EQ(dumpAllStats(off), dumpAllStats(on));
+        expectSameRow(r_off, r_on);
+        expectSameMachine(off, on);
     }
 }
 

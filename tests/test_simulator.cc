@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include "identity.h"
 #include "sim/simulator.h"
 
 namespace pfm {
@@ -95,10 +96,10 @@ TEST(Simulator, DeterministicAcrossRuns)
     o.component = "auto";
     o.warmup_instructions = 10'000;
     o.max_instructions = 80'000;
-    SimResult a = runSim(o);
-    SimResult b = runSim(o);
-    EXPECT_EQ(a.cycles, b.cycles);
-    EXPECT_DOUBLE_EQ(a.ipc, b.ipc);
+    Simulator a(o);
+    Simulator b(o);
+    expectSameRow(a.run(), b.run());
+    expectSameMachine(a, b);
 }
 
 } // namespace

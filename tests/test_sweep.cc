@@ -1,9 +1,9 @@
 /**
  * @file
- * SweepRunner tests: the parallel executor must produce bit-identical
- * results to serial execution of the same spec, in spec order, for any
- * worker count; plus --jobs/PFM_JOBS resolution and the BENCH json
- * emitter.
+ * SweepRunner tests: the parallel executor must produce byte-identical
+ * BENCH rows (tests/identity.h) to serial execution of the same spec, in
+ * spec order, for any worker count; plus --jobs/PFM_JOBS resolution and
+ * the BENCH json emitter.
  */
 
 #include <gtest/gtest.h>
@@ -13,6 +13,7 @@
 #include <fstream>
 #include <sstream>
 
+#include "identity.h"
 #include "sim/stats_io.h"
 #include "sim/sweep.h"
 
@@ -31,19 +32,6 @@ tinyOptions(const std::string& workload, const std::string& component,
     if (!tokens.empty())
         applyTokens(o, tokens);
     return o;
-}
-
-void
-expectSameResult(const SimResult& a, const SimResult& b,
-                 const std::string& label)
-{
-    EXPECT_EQ(a.cycles, b.cycles) << label;
-    EXPECT_EQ(a.instructions, b.instructions) << label;
-    EXPECT_DOUBLE_EQ(a.ipc, b.ipc) << label;
-    EXPECT_DOUBLE_EQ(a.mpki, b.mpki) << label;
-    EXPECT_DOUBLE_EQ(a.rst_hit_pct, b.rst_hit_pct) << label;
-    EXPECT_DOUBLE_EQ(a.fst_hit_pct, b.fst_hit_pct) << label;
-    EXPECT_EQ(a.finished, b.finished) << label;
 }
 
 /** Two workloads x {baseline, custom component}: the smoke sweep. */
@@ -77,9 +65,10 @@ TEST(Sweep, ParallelBitIdenticalToSerial)
     SweepRunner parallel(4);
     parallel.run(spec);
     ASSERT_EQ(parallel.results().size(), spec.size());
-    for (std::size_t i = 0; i < spec.size(); ++i)
-        expectSameResult(reference[i], parallel.results()[i].sim,
-                         spec.runs()[i].label);
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+        SCOPED_TRACE(spec.runs()[i].label);
+        expectSameRow(reference[i], parallel.results()[i].sim);
+    }
 }
 
 TEST(Sweep, SpecOrderDeterministicAcrossJobCounts)
@@ -92,9 +81,10 @@ TEST(Sweep, SpecOrderDeterministicAcrossJobCounts)
     jobs4.run(spec);
 
     ASSERT_EQ(jobs1.results().size(), jobs4.results().size());
-    for (std::size_t i = 0; i < spec.size(); ++i)
-        expectSameResult(jobs1.results()[i].sim, jobs4.results()[i].sim,
-                         spec.runs()[i].label);
+    for (std::size_t i = 0; i < spec.size(); ++i) {
+        SCOPED_TRACE(spec.runs()[i].label);
+        expectSameRow(jobs1.results()[i].sim, jobs4.results()[i].sim);
+    }
 }
 
 TEST(Sweep, ResultsIndexedByHandle)

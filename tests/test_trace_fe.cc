@@ -4,13 +4,15 @@
  *
  * Identity property: a run replayed from a recorded trace
  * (--workload=trace:<path>) is indistinguishable from the native run
- * that recorded it — byte-identical BENCH JSON rows and stat dumps —
+ * that recorded it — byte-identical BENCH JSON rows and the same
+ * whole-machine digest outside the engine section (tests/identity.h),
  * across fastfwd on/off and bare-core/component configurations, and a
  * replay sharded through a warmup checkpoint (trace cursor serialized)
- * matches the uninterrupted replay. Registry property: every name in
- * workloadNames() builds. Corruption property: every malformed trace
- * (missing file, bad magic, truncation, bit flips) dies through
- * pfm_fatal naming the trace — never a crash or a silent misload.
+ * matches the uninterrupted replay in every section. Registry property:
+ * every name in workloadNames() builds. Corruption property: every
+ * malformed trace (missing file, bad magic, truncation, bit flips) dies
+ * through pfm_fatal naming the trace — never a crash or a silent
+ * misload.
  */
 
 #include <gtest/gtest.h>
@@ -18,13 +20,12 @@
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
+#include "identity.h"
 #include "sim/options.h"
 #include "sim/simulator.h"
-#include "sim/stats_io.h"
 #include "trace_fe/trace_format.h"
 #include "trace_fe/trace_source.h"
 #include "workloads/registry.h"
@@ -61,40 +62,6 @@ writeFile(const std::string& path, const std::vector<unsigned char>& data)
     os.write(reinterpret_cast<const char*>(data.data()),
              static_cast<std::streamsize>(data.size()));
     ASSERT_TRUE(os.good()) << path;
-}
-
-/** Every stat registry the simulator owns, dumped to one string. */
-std::string
-dumpAllStats(Simulator& sim)
-{
-    std::ostringstream os;
-    sim.core().stats().dump(os);
-    sim.memory().stats().dump(os);
-    if (sim.pfm())
-        sim.pfm()->stats().dump(os);
-    return os.str();
-}
-
-/** The deterministic BENCH JSON row for a finished run (no wall time). */
-std::string
-benchRow(const std::string& label, const SimResult& r)
-{
-    BenchJsonRow row;
-    row.label = label;
-    row.ipc = r.ipc;
-    row.mpki = r.mpki;
-    row.cycles = r.cycles;
-    row.instructions = r.instructions;
-    row.ports = r.ports;
-    row.has_pf = r.has_pf;
-    row.pf_issued = r.pf_issued;
-    row.pf_useful = r.pf_useful;
-    row.pf_useless = r.pf_useless;
-    row.pf_late = r.pf_late;
-    row.pf_inflight = r.pf_inflight;
-    row.pf_coverage_pct = r.pf_coverage_pct;
-    row.pf_accuracy_pct = r.pf_accuracy_pct;
-    return formatBenchJsonRow(row, /*include_wall=*/false);
 }
 
 SimOptions
@@ -150,12 +117,12 @@ TEST_P(TraceReplayIdentity, ReplayMatchesNativeByteForByte)
     native.fastfwd = cfg.fastfwd;
     native.record_trace = trace_path;
 
-    std::string native_row, native_stats;
+    SimResult native_result;
+    MachineDigest native_digest;
     {
         Simulator sim(native);
-        SimResult r = sim.run();
-        native_row = benchRow("leg", r);
-        native_stats = dumpAllStats(sim);
+        native_result = sim.run();
+        native_digest = sim.machineDigest();
     }
     ASSERT_TRUE(fileExists(trace_path));
     EXPECT_FALSE(fileExists(trace_path + ".tmp"));
@@ -165,9 +132,10 @@ TEST_P(TraceReplayIdentity, ReplayMatchesNativeByteForByte)
     {
         Simulator sim(replay);
         EXPECT_EQ(sim.workload().name, "bfs-roads");
-        SimResult r = sim.run();
-        EXPECT_EQ(benchRow("leg", r), native_row);
-        EXPECT_EQ(dumpAllStats(sim), native_stats);
+        expectSameRow(sim.run(), native_result);
+        // The engine section holds the trace cursor here and the
+        // functional engine natively: different by construction.
+        expectSameMachine(sim.machineDigest(), native_digest, {"engine"});
     }
     std::remove(trace_path.c_str());
 }
@@ -230,13 +198,8 @@ TEST(TraceCheckpoint, ShardedReplayMatchesUninterrupted)
     runSim(rec);
 
     SimOptions replay = smallOptions("trace:" + trace_path, "none");
-    std::string whole_row, whole_stats;
-    {
-        Simulator sim(replay);
-        SimResult r = sim.run();
-        whole_row = benchRow("leg", r);
-        whole_stats = dumpAllStats(sim);
-    }
+    Simulator whole(replay);
+    const SimResult r_whole = whole.run();
 
     SimOptions save = replay;
     save.checkpoint_save = ckpt_path;
@@ -244,12 +207,9 @@ TEST(TraceCheckpoint, ShardedReplayMatchesUninterrupted)
 
     SimOptions load = replay;
     load.checkpoint_load = ckpt_path;
-    {
-        Simulator sim(load);
-        SimResult r = sim.run();
-        EXPECT_EQ(benchRow("leg", r), whole_row);
-        EXPECT_EQ(dumpAllStats(sim), whole_stats);
-    }
+    Simulator loader(load);
+    expectSameRow(loader.run(), r_whole);
+    expectSameMachine(loader, whole);
     std::remove(trace_path.c_str());
     std::remove(ckpt_path.c_str());
 }
