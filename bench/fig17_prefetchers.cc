@@ -132,15 +132,16 @@ runSharded(int argc, char** argv)
                  "uninterrupted runs");
 
     // Identity gate: a restored measurement leg must be indistinguishable
-    // from the uninterrupted deferred-attach run of the same config.
+    // from the uninterrupted deferred-attach run of the same config, down
+    // to every column of its deterministic BENCH row.
+    auto row = [](const SimResult& r) {
+        return formatBenchJsonRow(benchJsonRow("leg", r), false);
+    };
     bool identical = true;
     for (const LegPair& p : pairs) {
         const SimResult& a = runner.sim(p.serial);
         const SimResult& b = runner.sim(p.shard);
-        if (a.ipc != b.ipc || a.mpki != b.mpki || a.cycles != b.cycles ||
-            a.instructions != b.instructions ||
-            a.rst_hit_pct != b.rst_hit_pct ||
-            a.fst_hit_pct != b.fst_hit_pct || a.finished != b.finished) {
+        if (row(a) != row(b)) {
             identical = false;
             std::printf("  IDENTITY MISMATCH %s: serial ipc=%.17g "
                         "cycles=%llu vs sharded ipc=%.17g cycles=%llu\n",

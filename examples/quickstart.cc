@@ -8,9 +8,7 @@
  */
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
-#include <iostream>
 #include <string>
 
 #include "sim/simulator.h"
@@ -60,23 +58,14 @@ main(int argc, char** argv)
     if (!stats_csv.empty()) {
         std::ofstream csv(stats_csv);
         std::vector<const pfm::StatGroup*> groups = {
-            &sim.core().stats(), &sim.memory().stats(),
-            &sim.memory().l1d().stats(), &sim.memory().l2().stats(),
-            &sim.memory().l3().stats(), &sim.memory().dram().stats()};
+            &sim.core().stats(),         &sim.memory().stats(),
+            &sim.memory().l1i().stats(), &sim.memory().l1d().stats(),
+            &sim.memory().l2().stats(),  &sim.memory().l3().stats(),
+            &sim.memory().dram().stats()};
         if (sim.pfm())
             groups.push_back(&sim.pfm()->stats());
         pfm::writeStatsCsv(csv, groups);
         std::printf("stats written to %s\n", stats_csv.c_str());
-    }
-    if (std::getenv("PFM_DUMP_STATS")) {
-        sim.core().stats().dump(std::cout);
-        sim.memory().stats().dump(std::cout);
-        sim.memory().l1d().stats().dump(std::cout);
-        sim.memory().l2().stats().dump(std::cout);
-        sim.memory().l3().stats().dump(std::cout);
-        sim.memory().dram().stats().dump(std::cout);
-        if (sim.pfm())
-            sim.pfm()->stats().dump(std::cout);
     }
     return 0;
 }

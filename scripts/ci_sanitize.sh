@@ -2,23 +2,26 @@
 # Sanitizer leg for CI: build with -DPFM_SANITIZE=ON (ASan + UBSan) and
 # run the daemon/concurrency and checkpoint-store tests under it. The
 # daemon is the one part of the codebase with real thread/descriptor
-# lifetime hazards — leaked mmaps on checkpoint error paths,
-# double-fclose, worker threads outliving stop() — and the store's LZ
-# codec and blob loader are raw byte-twiddling over attacker-shaped
-# (corrupt) input: exactly what the instrumented build catches and the
-# plain build cannot. The PMP suite rides along: its rotate/merge bit
-# arithmetic and the reference-model lockstep are cheap and exactly the
-# code UBSan pays off on (shift widths, popcount-driven indexing). The
-# trace-frontend suite joins for the same reason: block (de)compression,
-# CRC framing, and record decoding over deliberately corrupted trace
-# files are untrusted-input byte-twiddling; its label also carries the
-# trace identity suites (Configs/TraceReplayIdentity.*, TraceCheckpoint.*),
-# which digest the whole machine. From pfm_tests, the checkpoint image
-# reader (corrupt headers, frames and flags), the machine-digest oracle
-# and the memory hierarchy's plane and slot-array loaders run through a
-# --gtest_filter, as do the core scheduler suites: the wait lists and the
-# ready-bit ring are slot and index arithmetic the sanitizers check. The
-# rest of that binary is long simulation runs the plain build covers.
+# lifetime hazards — leaked descriptors or blob buffers on checkpoint
+# error paths, double-fclose, worker threads outliving stop() — and the
+# store's LZ codec and blob loader are raw byte-twiddling over
+# attacker-shaped (corrupt) input: exactly what the instrumented build
+# catches and the plain build cannot. The PMP suite rides along: its
+# rotate/merge bit arithmetic and the reference-model lockstep are cheap
+# and exactly the code UBSan pays off on (shift widths, popcount-driven
+# indexing). The trace-frontend suite joins for the same reason: block
+# (de)compression, CRC framing, and record decoding over deliberately
+# corrupted trace files are untrusted-input byte-twiddling; its label
+# also carries the trace identity suites (Configs/TraceReplayIdentity.*,
+# TraceCheckpoint.*), which digest the whole machine. From pfm_tests,
+# the checkpoint manifest reader (truncated, re-versioned, bit-flipped
+# and CRC-re-signed manifests, corrupt section blobs, payloads rewritten
+# through the reader and writer), the golden fixture, the machine-digest
+# oracle and the memory hierarchy's plane and slot-array loaders run
+# through a --gtest_filter, as do the core scheduler suites: the wait
+# lists and the ready-bit ring are slot and index arithmetic the
+# sanitizers check. The rest of that binary is long simulation runs the
+# plain build covers.
 #
 # Usage: scripts/ci_sanitize.sh [build-dir]   (default: build-sanitize)
 set -eu

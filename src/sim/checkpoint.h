@@ -2,41 +2,33 @@
  * @file
  * Versioned, tagged binary checkpoint format for sharded long runs.
  *
- * A checkpoint *image* is a flat byte stream:
+ * A checkpoint is a small *manifest* file plus one content-addressed blob
+ * per section payload in a store directory (ckpt_store.h):
  *
- *   header:  magic u64 | format version u32 | config fingerprint u64 |
- *            workload string | component string | retired-at-save u64 |
- *            header CRC32 u32 (over every header byte before it)
- *   section: name string | stored length u64 | CRC32 u32 (of stored
- *            bytes) | flags u8 | raw length u64 | stored bytes
- *   ...      (sections in a fixed order; the reader names the section it
- *             expects, so an order mismatch is caught by name)
- *
- * Sections are self-describing: flags bit 0 marks the stored bytes as
- * lz-compressed (common/lz.h); any other flag bit is corruption, rejected
- * in images and manifests alike. With bit 0 clear, stored == raw and the
- * reader serves the payload in place from the mmap — the zero-copy fast
- * path plain images keep by default. The writer can also save in *store*
- * mode (setStore()): each section payload becomes a content-addressed
- * blob in a shared store directory, and the checkpoint file is a tiny
- * manifest referencing blobs by FNV-1a hash — see ckpt_store.h:
- *
- *   manifest: manifest-magic u64 | version u32 | fingerprint u64 |
- *             workload string | component string | retired u64 |
+ *   manifest: magic u64 | format version u32 | config fingerprint u64 |
+ *             workload string | component string | retired-at-save u64 |
  *             store subdir string | section count u32 |
  *             per section { name string | hash u64 | raw length u64 |
  *                           raw CRC32 u32 | flags u8 | stored length u64 }
  *             | manifest CRC32 u32 (over everything before it)
  *
- * CkptReader dispatches on the leading magic and serves both layouts
- * (image, manifest) behind one section API.
+ * Sections come in a fixed order; the reader names the section it
+ * expects, so an order mismatch is caught by name. Each entry names its
+ * blob by the FNV-1a hash of the raw payload; flags bit 0 marks the blob
+ * as lz-compressed (common/lz.h), which the writer does whenever that
+ * makes it smaller. Any other flag bit is corruption. The store subdir is
+ * relative to the manifest's directory; empty means the file's own store,
+ * `<manifest path>.blobs` (ckptStoreDir), so a manifest's bytes depend
+ * only on the saved state, never on its file name. Saves that name one
+ * shared subdir (SimOptions::ckpt_store) dedup their common sections.
  *
  * Strings are u32 length + bytes. Every multi-byte value is host-endian;
  * checkpoints are an intra-machine hand-off between sweep legs, not an
  * interchange format. All read-side validation failures (truncation, CRC
  * mismatch, wrong version, unexpected section name, over-/under-read of a
- * payload) are pfm_fatal with the checkpoint path and offending section —
- * a corrupt file must never crash or silently misload.
+ * payload, missing or corrupt blob) are pfm_fatal with the checkpoint
+ * path and offending section — a corrupt checkpoint must never crash or
+ * silently misload.
  *
  * Adding state: bump kCkptFormatVersion whenever a section's payload
  * layout changes or a section is added/removed, and keep save/load
@@ -60,22 +52,10 @@ namespace pfm {
 
 /**
  * Bump on any layout change; readers reject every other version.
- * v3: section framing carries flags + raw-length fields (per-section
- * compression); adds the content-addressed manifest layout.
- * v4: caches save flat way planes and sorted MSHR/DRAM slot arrays; the
- * image header carries its own CRC.
+ * v3: per-section compression; adds the content-addressed manifest.
+ * v4: caches save flat way planes and sorted MSHR/DRAM slot arrays.
  */
 constexpr std::uint32_t kCkptFormatVersion = 4;
-
-/**
- * Compression policy from the PFM_CKPT_COMPRESS env knob: "0" never,
- * any other value always, unset = compress in store mode only (plain
- * images stay raw so the mmap path serves sections zero-copy).
- */
-bool ckptCompressEnabled(bool store_mode);
-
-/** "PFMCKPT\0" little-endian. */
-constexpr std::uint64_t kCkptMagic = 0x0054504b434d4650ull;
 
 /**
  * CRC-32 (IEEE 802.3, reflected poly 0xEDB88320) of @p n bytes. Pass the
@@ -91,7 +71,7 @@ class CkptReader;
 /**
  * Field-wise serialization hook for trivially copyable types whose
  * in-memory representation contains padding bytes. Raw memcpy of such a
- * type leaks indeterminate heap bytes into the image, breaking the
+ * type leaks indeterminate heap bytes into the checkpoint, breaking the
  * guarantee that two identical runs save byte-identical files (and with
  * it golden-fixture digests). Specialize with:
  *
@@ -134,8 +114,8 @@ struct CkptHeader {
 
 /**
  * Serializer. Accumulates raw section payloads in memory; finish()
- * assembles and writes the image (or manifest + blobs) atomically via
- * temp + rename and is fatal on any I/O error.
+ * publishes one blob per section and then the manifest, each atomically
+ * via temp + rename, and is fatal on any I/O error.
  */
 class CkptWriter
 {
@@ -143,14 +123,12 @@ class CkptWriter
     explicit CkptWriter(std::string path);
 
     /**
-     * Save in content-addressed store mode: section payloads go to blobs
-     * under `<dir of path>/<subdir>` and the file at path becomes a
-     * manifest. Must be called before finish(); empty reverts to image.
+     * Publish the section blobs under `<dir of path>/<subdir>`, a store
+     * other saves may share, instead of the file's own
+     * `<path>.blobs`. Must be called before finish(); empty restores the
+     * default.
      */
     void setStore(std::string subdir) { store_rel_ = std::move(subdir); }
-
-    /** Compress section payloads (kept only when actually smaller). */
-    void setCompress(bool on) { compress_ = on; }
 
     /**
      * Hash instead of buffer: every put() folds into the open section's
@@ -209,7 +187,7 @@ class CkptWriter
             put(v);
     }
 
-    /** Flush the image or manifest to disk. No further use after this. */
+    /** Publish the blobs and the manifest. No further use after this. */
     void finish();
 
     /** One digest per closed section, in write order (digest-only mode). */
@@ -229,8 +207,7 @@ class CkptWriter
     CkptHeader hdr_;
     std::vector<std::uint8_t> out_; ///< concatenated raw section payloads
     std::vector<Sec> secs_;
-    std::string store_rel_;         ///< non-empty = manifest + blob store
-    bool compress_ = false;
+    std::string store_rel_;         ///< shared store subdir ("" = own)
     bool digest_only_ = false;
     std::vector<CkptSectionDigest> digests_; ///< digest-only mode output
     std::uint32_t sec_crc_ = 0;     ///< open section's running CRC (digest)
@@ -242,19 +219,16 @@ class CkptWriter
 };
 
 /**
- * Deserializer. Loads the whole file up front; every accessor validates
- * bounds against the declared section payload and dies with the section
- * name on any inconsistency.
+ * Deserializer. Reads the manifest up front and each section's blob when
+ * the section opens; every accessor validates bounds against the section
+ * payload and dies with the section name on any inconsistency.
  */
 class CkptReader
 {
   public:
     explicit CkptReader(std::string path);
-    ~CkptReader();
-    CkptReader(const CkptReader&) = delete;
-    CkptReader& operator=(const CkptReader&) = delete;
 
-    /** Parse and validate magic + version; fatal on mismatch. */
+    /** Parse and validate the whole manifest; fatal on any mismatch. */
     CkptHeader readHeader();
 
     /**
@@ -322,7 +296,10 @@ class CkptReader
     }
 
     /** True once every section has been consumed. */
-    bool atEnd() const;
+    bool atEnd() const { return next_entry_ == entries_.size(); }
+
+    /** Payload bytes not yet read from the open section. */
+    std::size_t remaining() const { return send_ - spos_; }
 
     const std::string& path() const { return path_; }
 
@@ -348,9 +325,6 @@ class CkptReader
     [[noreturn]] void fail(const std::string& what) const;
 
   private:
-    /** Layout found behind the leading magic, set by readHeader(). */
-    enum class Mode { kImage, kManifest };
-
     /** One parsed manifest entry, consumed in order by beginSection(). */
     struct ManifestEntry {
         std::string name;
@@ -361,45 +335,27 @@ class CkptReader
     /** Element count sanity: must fit in the bytes left in the section. */
     void checkCount(std::uint64_t n, std::size_t elem_size);
 
-    /** Raw read from the file buffer (header parsing, section framing). */
+    /** Raw read from the manifest bytes. */
     void rawBytes(void* p, std::size_t n, const char* what);
     std::uint32_t rawU32(const char* what);
     std::uint64_t rawU64(const char* what);
     std::string rawString(const char* what);
 
-    /** Parse the manifest body (after the magic); fills entries_. */
-    CkptHeader readManifest();
-
     std::string path_;
-    /**
-     * The image is mmap'd read-only when possible: concurrent sweep legs
-     * restoring the same warmup checkpoint then share the kernel page
-     * cache instead of each copying the file into a private heap buffer.
-     * buf_ is the fallback when mmap is unavailable (empty file, exotic
-     * filesystem); data_/size_ point at whichever backing is active.
-     */
-    std::vector<std::uint8_t> buf_;
-    void* map_ = nullptr;          ///< mmap base (nullptr = buf_ active)
-    const std::uint8_t* data_ = nullptr;
-    std::size_t size_ = 0;
-    std::size_t pos_ = 0;          ///< cursor into data_
+    std::vector<std::uint8_t> buf_; ///< the manifest file
+    std::size_t pos_ = 0;           ///< cursor into buf_
 
-    Mode mode_ = Mode::kImage;
-    std::vector<ManifestEntry> entries_; ///< manifest mode only
+    std::vector<ManifestEntry> entries_;
     std::size_t next_entry_ = 0;
-    std::string store_dir_;              ///< resolved blob directory
+    std::string store_dir_;         ///< resolved blob directory
 
     /**
-     * Open-section serving state, decoupled from the file cursor: raw
-     * image sections serve in place from the mmap (sdata_ points into
-     * data_), compressed ones from sbuf_, manifest sections from the
-     * shared blob buffer pinned by blob_ for the section's lifetime.
+     * Open section: its decoded payload, shared with concurrent restores
+     * through the hot-blob cache and pinned by blob_ until endSection().
      */
-    const std::uint8_t* sdata_ = nullptr;
+    std::shared_ptr<const std::vector<std::uint8_t>> blob_;
     std::size_t spos_ = 0;
     std::size_t send_ = 0;
-    std::vector<std::uint8_t> sbuf_;
-    std::shared_ptr<const std::vector<std::uint8_t>> blob_;
     std::string section_;
     bool in_section_ = false;
 };

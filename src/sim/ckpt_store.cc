@@ -69,39 +69,10 @@ unpackBlobHeader(const std::uint8_t* in, std::size_t n, CkptBlobMeta& meta)
     return true;
 }
 
-struct FileBytes {
-    bool ok = false;
-    std::vector<std::uint8_t> data;
-};
-
-/** Slurp a whole file; ok=false when it cannot be opened or read. */
-FileBytes
-readWholeFile(const std::string& path)
-{
-    FileBytes r;
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return r;
-    if (std::fseek(f, 0, SEEK_END) == 0) {
-        long size = std::ftell(f);
-        if (size >= 0 && std::fseek(f, 0, SEEK_SET) == 0) {
-            r.data.resize(static_cast<std::size_t>(size));
-            std::size_t got = r.data.empty()
-                ? 0
-                : std::fread(r.data.data(), 1, r.data.size(), f);
-            r.ok = got == r.data.size();
-        }
-    }
-    std::fclose(f);
-    if (!r.ok)
-        r.data.clear();
-    return r;
-}
-
 /**
  * Process-wide cache of decoded blob payloads. Weak entries let every
  * in-flight restore share one buffer; the small strong ring keeps the
- * hottest blobs (the shared bare-core engine image, above all) decoded
+ * hottest blobs (the shared bare-core engine payload, above all) decoded
  * across back-to-back restores even when no lease holds them. Loads and
  * decompression run outside the lock — a racing pair of threads may decode
  * the same blob twice, but the result is identical and the common case
@@ -286,27 +257,27 @@ ckptBlobLoad(const std::string& blob_path, std::uint64_t hash,
         return cached.raw;
     }
 
-    FileBytes file = readWholeFile(blob_path);
-    if (!file.ok)
+    std::vector<std::uint8_t> file;
+    if (!ckptReadFile(blob_path, file))
         storeFail(ckpt_path, section,
                   "missing blob '" + blob_path + "' referenced by manifest");
     CkptBlobMeta found;
-    if (!unpackBlobHeader(file.data.data(), file.data.size(), found))
+    if (!unpackBlobHeader(file.data(), file.size(), found))
         storeFail(ckpt_path, section,
                   "blob '" + blob_path + "' is not a PFM blob");
     if (!(found == meta))
         storeFail(ckpt_path, section,
                   "blob '" + blob_path +
                       "' metadata disagrees with manifest");
-    if (file.data.size() != kCkptBlobHeaderBytes + meta.stored_len)
+    if (file.size() != kCkptBlobHeaderBytes + meta.stored_len)
         storeFail(ckpt_path, section,
                   "truncated blob '" + blob_path + "' (" +
-                      std::to_string(file.data.size()) + " bytes, " +
+                      std::to_string(file.size()) + " bytes, " +
                       std::to_string(kCkptBlobHeaderBytes +
                                      meta.stored_len) +
                       " expected)");
 
-    const std::uint8_t* stored = file.data.data() + kCkptBlobHeaderBytes;
+    const std::uint8_t* stored = file.data() + kCkptBlobHeaderBytes;
     auto raw = std::make_shared<std::vector<std::uint8_t>>();
     if (meta.flags & kCkptBlobCompressed) {
         // Bound the declared raw length before trusting it with a
@@ -379,6 +350,46 @@ ckptStoreRemoveDir(const std::string& dir)
     ::rmdir(dir.c_str());
 }
 
+void
+ckptRemove(const std::string& path)
+{
+    std::remove(path.c_str());
+    ckptStoreRemoveDir(ckptStoreDir(path, ""));
+}
+
+std::string
+ckptStoreDir(const std::string& ckpt_path, const std::string& store_rel)
+{
+    if (store_rel.empty())
+        return ckpt_path + ".blobs";
+    std::size_t slash = ckpt_path.find_last_of('/');
+    return (slash == std::string::npos ? std::string(".")
+                                       : ckpt_path.substr(0, slash)) +
+           "/" + store_rel;
+}
+
+bool
+ckptReadFile(const std::string& path, std::vector<std::uint8_t>& out)
+{
+    out.clear();
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    if (!f)
+        return false;
+    bool ok = false;
+    if (std::fseek(f, 0, SEEK_END) == 0) {
+        long size = std::ftell(f);
+        if (size >= 0 && std::fseek(f, 0, SEEK_SET) == 0) {
+            out.resize(static_cast<std::size_t>(size));
+            ok = out.empty() ||
+                 std::fread(out.data(), 1, out.size(), f) == out.size();
+        }
+    }
+    std::fclose(f);
+    if (!ok)
+        out.clear();
+    return ok;
+}
+
 namespace {
 
 /** Bounded cursor over a byte buffer for the lenient inspector. */
@@ -387,30 +398,15 @@ struct Cursor {
     std::size_t n;
     std::size_t off = 0;
 
-    bool
-    read(void* out, std::size_t sz)
-    {
-        if (sz > n - off)
-            return false;
-        std::memcpy(out, p + off, sz);
-        off += sz;
-        return true;
-    }
-
-    bool
-    skip(std::size_t sz)
-    {
-        if (sz > n - off)
-            return false;
-        off += sz;
-        return true;
-    }
-
     template <typename T>
     bool
     get(T& v)
     {
-        return read(&v, sizeof v);
+        if (sizeof v > n - off)
+            return false;
+        std::memcpy(&v, p + off, sizeof v);
+        off += sizeof v;
+        return true;
     }
 
     bool
@@ -427,86 +423,45 @@ struct Cursor {
 
 } // namespace
 
-std::string
-ckptDirOf(const std::string& path)
-{
-    std::size_t slash = path.find_last_of('/');
-    return slash == std::string::npos ? "." : path.substr(0, slash);
-}
-
 CkptFileInfo
 inspectCkptFile(const std::string& path)
 {
     CkptFileInfo info;
-    FileBytes file = readWholeFile(path);
-    info.file_bytes = file.data.size();
+    std::vector<std::uint8_t> file;
+    const bool readable = ckptReadFile(path, file);
+    info.file_bytes = file.size();
     info.logical_bytes = info.file_bytes; // fallback for junk/unreadable
-    if (!file.ok)
+    if (!readable)
         return info;
 
-    Cursor c{file.data.data(), file.data.size()};
+    Cursor c{file.data(), file.size()};
+    CkptFileInfo m;
+    m.file_bytes = info.file_bytes;
     std::uint64_t magic;
-    if (!c.get(magic))
-        return info;
-
-    if (magic == kCkptManifestMagic) {
-        // Manifest: header fields, store subdir, then per-section entries.
-        CkptFileInfo m;
-        m.manifest = true;
-        m.file_bytes = info.file_bytes;
-        std::string workload;
-        std::string component;
-        std::string store_rel;
-        std::uint64_t u64;
-        std::uint32_t nsec;
-        if (!c.get(m.version) || !c.get(u64) || !c.getString(workload) ||
-            !c.getString(component) || !c.get(u64) ||
-            !c.getString(store_rel) || !c.get(nsec))
-            return info;
-        const std::string store_dir = ckptDirOf(path) + "/" + store_rel;
-        for (std::uint32_t i = 0; i < nsec; ++i) {
-            std::string name;
-            CkptBlobRef ref;
-            CkptBlobMeta meta;
-            if (!c.getString(name) || !c.get(ref.hash) ||
-                !c.get(meta.raw_len) || !c.get(meta.raw_crc) ||
-                !c.get(meta.flags) || !c.get(meta.stored_len))
-                return info;
-            ref.stored_len = meta.stored_len;
-            ref.path = store_dir + "/" + ckptBlobName(ref.hash);
-            m.logical_bytes += meta.raw_len;
-            m.blobs.push_back(std::move(ref));
-        }
-        return m;
-    }
-
-    if (magic != kCkptMagic)
-        return info;
-
-    // Plain image: walk the section frames and sum raw payload bytes.
-    CkptFileInfo img;
-    img.file_bytes = info.file_bytes;
-    std::string s;
+    std::string workload;
+    std::string component;
+    std::string store_rel;
     std::uint64_t u64;
-    std::uint32_t header_crc;
-    if (!c.get(img.version) || !c.get(u64) || !c.getString(s) ||
-        !c.getString(s) || !c.get(u64) || !c.get(header_crc))
+    std::uint32_t nsec;
+    if (!c.get(magic) || magic != kCkptManifestMagic || !c.get(m.version) ||
+        !c.get(u64) || !c.getString(workload) || !c.getString(component) ||
+        !c.get(u64) || !c.getString(store_rel) || !c.get(nsec))
         return info;
-    if (img.version != kCkptFormatVersion)
-        return info;
-    while (c.off < c.n) {
-        std::uint64_t stored_len;
-        std::uint32_t crc;
-        std::uint8_t flags;
-        std::uint64_t raw_len;
-        if (!c.getString(s) || !c.get(stored_len) || !c.get(crc) ||
-            !c.get(flags) || !c.get(raw_len))
+    const std::string store_dir = ckptStoreDir(path, store_rel);
+    for (std::uint32_t i = 0; i < nsec; ++i) {
+        std::string name;
+        CkptBlobRef ref;
+        CkptBlobMeta meta;
+        if (!c.getString(name) || !c.get(ref.hash) || !c.get(meta.raw_len) ||
+            !c.get(meta.raw_crc) || !c.get(meta.flags) ||
+            !c.get(meta.stored_len))
             return info;
-        if (!c.skip(static_cast<std::size_t>(stored_len)))
-            return info;
-        img.logical_bytes += raw_len;
+        ref.stored_len = meta.stored_len;
+        ref.path = store_dir + "/" + ckptBlobName(ref.hash);
+        m.logical_bytes += meta.raw_len;
+        m.blobs.push_back(std::move(ref));
     }
-    return img;
+    return m;
 }
 
 } // namespace pfm

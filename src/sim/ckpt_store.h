@@ -9,10 +9,10 @@
  *             stored_len u64 | stored bytes
  *
  * flags bit 0 set means the stored bytes are lz-compressed (common/lz.h);
- * clear means they are the raw payload verbatim. A checkpoint saved in
- * store mode is a tiny *manifest* referencing blobs by hash, so a sweep of
- * N configs sharing one bare-core warmup keeps the multi-megabyte engine
- * image once and pays only per-config deltas (see checkpoint.h for the
+ * clear means they are the raw payload verbatim. A checkpoint is a tiny
+ * *manifest* referencing blobs by hash, so a sweep of N configs sharing
+ * one bare-core warmup and one store keeps the multi-megabyte engine
+ * payload once and pays only per-config deltas (see checkpoint.h for the
  * manifest layout, DESIGN.md "Checkpoint store" for the rationale).
  *
  * Writes are atomic (temp + rename) and idempotent: a blob that already
@@ -23,9 +23,8 @@
  *
  * Reads go through a small process-wide hot-blob cache: each blob is
  * loaded and decompressed once into an anonymous buffer and then shared
- * (shared_ptr) across every concurrent restore that references it — the
- * store-mode analogue of the mmap page-cache sharing the plain image path
- * gets for free.
+ * (shared_ptr) across every concurrent restore that references it, so N
+ * legs restoring one warmup decode its engine payload once.
  */
 
 #ifndef PFM_SIM_CKPT_STORE_H
@@ -55,10 +54,15 @@ std::uint64_t ckptHash64(const void* data, std::size_t n) noexcept;
 std::string ckptBlobName(std::uint64_t hash);
 
 /**
- * Directory part of @p path ("." when it has no separator) — store
- * subdirs in manifests are relative to the manifest's own directory.
+ * Blob directory of the checkpoint at @p ckpt_path whose manifest names
+ * store subdir @p store_rel: `<ckpt dir>/<store_rel>` for a shared store,
+ * the file's own `<ckpt_path>.blobs` when @p store_rel is empty.
  */
-std::string ckptDirOf(const std::string& path);
+std::string ckptStoreDir(const std::string& ckpt_path,
+                         const std::string& store_rel);
+
+/** Read the whole file at @p path into @p out; false if it cannot. */
+bool ckptReadFile(const std::string& path, std::vector<std::uint8_t>& out);
 
 /**
  * Per-blob metadata, stored in the blob header and echoed by every
@@ -116,6 +120,12 @@ std::uint64_t ckptStoreDirBytes(const std::string& dir);
  */
 void ckptStoreRemoveDir(const std::string& dir);
 
+/**
+ * Best-effort removal of the checkpoint at @p path and of its own store
+ * `<path>.blobs`; a shared store is left to whoever named it. Never fatal.
+ */
+void ckptRemove(const std::string& path);
+
 /** One manifest→blob reference, resolved to an on-disk path. */
 struct CkptBlobRef {
     std::uint64_t hash = 0;
@@ -124,13 +134,11 @@ struct CkptBlobRef {
 };
 
 /**
- * What a checkpoint file costs, for cache accounting. file_bytes is the
- * manifest or image itself; logical_bytes is the uncompressed payload
- * total a raw whole image would have held; blobs lists referenced store
- * files (empty for plain images, whose bytes are all in file_bytes).
+ * What a checkpoint costs, for cache accounting. file_bytes is the
+ * manifest itself; logical_bytes is the raw section payload total;
+ * blobs lists the store files it references.
  */
 struct CkptFileInfo {
-    bool manifest = false;
     std::uint32_t version = 0;
     std::uint64_t file_bytes = 0;
     std::uint64_t logical_bytes = 0;
@@ -138,11 +146,11 @@ struct CkptFileInfo {
 };
 
 /**
- * Lenient inspection of the checkpoint (image or manifest) at @p path for
- * byte accounting. Never fatal: an unreadable or unrecognized file
- * reports its plain size as both file_bytes and logical_bytes — the
- * daemon cache charges *something* sane even for files it did not write
- * (tests stub cache entries with junk payloads).
+ * Lenient inspection of the manifest at @p path for byte accounting.
+ * Never fatal: an unreadable or unrecognized file reports its plain size
+ * as both file_bytes and logical_bytes, with no blobs — the daemon cache
+ * charges *something* sane even for files it did not write (tests stub
+ * cache entries with junk payloads).
  */
 CkptFileInfo inspectCkptFile(const std::string& path);
 

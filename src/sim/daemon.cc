@@ -32,9 +32,9 @@ struct WarmupCache::Entry {
     std::string path;
     enum class State { kWarming, kReady, kFailed } state = State::kWarming;
     std::string error;       ///< kFailed: what the producing warmup threw
-    std::uint64_t bytes = 0; ///< the checkpoint file itself (manifest or
-                             ///  whole image; shared blobs charged apart)
-    std::uint64_t logical = 0;         ///< uncompressed whole-image cost
+    std::uint64_t bytes = 0; ///< the manifest itself (its store blobs
+                             ///  are charged apart, once each)
+    std::uint64_t logical = 0;         ///< raw section payload total
     std::vector<std::string> blobs;    ///< store blob paths referenced
     unsigned pins = 0;       ///< live leases; evict/delete only at zero
     std::uint64_t lru = 0;   ///< last-touch tick
@@ -183,7 +183,7 @@ WarmupCache::acquire(const std::string& key,
 
     // Accounting inspection is best-effort (tests stub cache entries with
     // junk payloads): an unrecognized file is charged at its plain size
-    // with no blob references, exactly like a whole image.
+    // with no blob references.
     CkptFileInfo info = inspectCkptFile(path);
 
     lk.lock();
@@ -562,7 +562,7 @@ DaemonServer::serveConnection(const std::shared_ptr<ConnState>& st)
         } else if (cmd == "stats") {
             DaemonCacheStats s = cacheStats();
             // saved_bytes = what compression + dedup are buying right now:
-            // the whole-image cost of the resident entries minus what they
+            // the raw payload cost of the resident entries minus what they
             // actually occupy on disk.
             std::uint64_t saved = s.logical_bytes > s.bytes
                 ? s.logical_bytes - s.bytes

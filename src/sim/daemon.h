@@ -1,7 +1,7 @@
 /**
  * @file
  * Sim-as-a-service: a long-running daemon owning a worker pool and a
- * keyed LRU cache of warm checkpoint images, serving sweep requests over
+ * keyed LRU cache of warm checkpoints, serving sweep requests over
  * a Unix-domain socket (DESIGN.md "Daemon protocol").
  *
  * The traffic shape this serves is the paper's evaluation model at farm
@@ -10,9 +10,10 @@
  * list of measurement legs (parameter-token strings). Each leg's warmup
  * image is looked up in the cache under its *bare-core* config
  * fingerprint — the key under which PR 4 proved warmup checkpoints are
- * shareable across component/PFM parameters — and restored through the
- * existing read-only mmap path, so N concurrent legs on the same key
- * share kernel page cache and pay one warmup between them.
+ * shareable across component/PFM parameters — and restored from the
+ * content-addressed store through the process-wide hot-blob cache
+ * (ckpt_store.h), so N concurrent legs on the same key share one decoded
+ * copy of each section and pay one warmup between them.
  *
  * Robustness properties the tests pin down:
  *  - single-flight warmup: concurrent cache misses on one key block on
@@ -76,8 +77,9 @@ struct DaemonCacheStats {
     std::uint64_t bytes = 0;      ///< resident bytes on disk (manifests +
                                   ///  unique store blobs, each counted once)
     std::uint64_t entries = 0;    ///< resident images
-    std::uint64_t logical_bytes = 0; ///< what the same entries would cost
-                                     ///  as uncompressed whole images
+    std::uint64_t logical_bytes = 0; ///< raw section payload total of
+                                     ///  the same entries, uncompressed
+                                     ///  and undeduplicated
     std::uint64_t blobs = 0;      ///< unique store blobs resident
 };
 
@@ -97,9 +99,8 @@ class WarmupCache
     struct Entry;
 
     /**
-     * Pin on a ready image. While any lease is live the entry cannot be
-     * evicted and its file cannot be deleted; restores mmap it read-only
-     * so concurrent leases share page cache.
+     * Pin on a ready checkpoint. While any lease is live the entry cannot
+     * be evicted and neither its manifest nor its blobs can be deleted.
      */
     class Lease
     {

@@ -76,12 +76,12 @@ struct SimOptions {
     std::string record_trace;
 
     /**
-     * Non-empty: checkpoint_save writes a content-addressed manifest
-     * whose section payloads live as deduplicated (and, by default,
-     * compressed) blobs under `<ckpt dir>/<ckpt_store>` — see
-     * ckpt_store.h. Loads need no flag: the reader dispatches on the
-     * file's magic. Excluded from the config fingerprint: storage layout
-     * does not shape machine state.
+     * Store subdir, relative to the checkpoint's directory, that
+     * checkpoint_save publishes its section blobs into; saves sharing
+     * one subdir dedup their common sections (ckpt_store.h). Empty: the
+     * checkpoint's own `<checkpoint_save>.blobs`. Loads need no flag: the
+     * manifest names its store. Excluded from the config fingerprint:
+     * storage layout does not shape machine state.
      */
     std::string ckpt_store;
 

@@ -446,9 +446,7 @@ Simulator::saveCheckpoint(const std::string& path)
     }
     requireCheckpointable(pfm_.get());
     CkptWriter w(path);
-    if (!opt_.ckpt_store.empty())
-        w.setStore(opt_.ckpt_store);
-    w.setCompress(ckptCompressEnabled(!opt_.ckpt_store.empty()));
+    w.setStore(opt_.ckpt_store);
     CkptHeader h;
     h.version = kCkptFormatVersion;
     // sourceFingerprint() lets an instruction source fold extra identity

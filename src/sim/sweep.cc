@@ -168,9 +168,9 @@ SweepRunner::run(const SweepSpec& spec)
     for (std::size_t i = 0; i < runs.size(); ++i)
         phases[runs[i].warmup_only ? 0 : 1].push_back(i);
 
-    // Warmup checkpoints go through the content-addressed store: configs
-    // sharing a bare-core image dedup to one blob set per unique payload
-    // instead of N whole images.
+    // Warmup checkpoints share one store: configs sharing a bare-core
+    // warmup dedup to one blob set per unique payload instead of N
+    // copies.
     const std::string store_subdir =
         sharded ? "pfm_store_" +
                       std::to_string(static_cast<unsigned long>(::getpid()))

@@ -116,9 +116,9 @@ struct SweepResult {
  * @p save_path turns the run into a warmup leg (checkpoint saved at the
  * boundary, measurement skipped); a non-empty @p load_path restores from
  * a warmup checkpoint instead of re-running warmup. A non-empty
- * @p store_subdir makes the save a content-addressed manifest with its
- * blobs under that subdir of the checkpoint's directory (ckpt_store.h);
- * loads auto-detect the layout from the file.
+ * @p store_subdir publishes the save's blobs into that shared subdir of
+ * the checkpoint's directory (ckpt_store.h) instead of the checkpoint's
+ * own store.
  */
 SweepResult runSweepLeg(const SweepRun& run, const std::string& save_path,
                         const std::string& load_path,

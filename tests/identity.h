@@ -1,9 +1,9 @@
 /**
  * @file
  * The one identity oracle every "runs X and Y are indistinguishable"
- * test uses (fastfwd on/off, checkpoint restore vs uninterrupted, store
- * vs plain restore, trace replay vs native, sharded vs serial sweep,
- * daemon vs direct).
+ * test uses (fastfwd on/off, checkpoint restore vs uninterrupted, trace
+ * replay vs native, sharded vs serial sweep, daemon vs direct, a core
+ * restored mid-flight vs uninterrupted).
  *
  * Two checks cover a run whole:
  *  - expectSameMachine() compares Simulator::machineDigest(): one CRC per

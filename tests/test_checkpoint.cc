@@ -10,9 +10,10 @@
  * (truncated, bit-flipped, wrong version, reordered sections, trailing
  * garbage, config drift) dies through pfm_fatal naming the checkpoint and
  * the offending section — never a crash or a silent misload. The
- * checked-in astar_bare_v4.{ckpt,digest} fixture pins the on-disk format
- * of the current writer (regenerate with PFM_REGEN_FIXTURES=1 on a format
- * bump). (Store-mode coverage lives in test_ckpt_store.cc.)
+ * checked-in astar_bare_v4 fixture (manifest, blob store and digest
+ * pair) pins the on-disk format of the current writer (regenerate with
+ * PFM_REGEN_FIXTURES=1 on a format bump). (Shared-store dedup and blob
+ * corruption live in test_ckpt_store.cc.)
  */
 
 #include <gtest/gtest-spi.h>
@@ -24,6 +25,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -143,7 +145,7 @@ TEST(Checkpoint, RoundTripIdentityAcrossConfigs)
         expectSameRow(r_ref, r_load);
         expectSameMachine(d_ref, loader.machineDigest());
 
-        std::remove(path.c_str());
+        ckptRemove(path);
     }
 }
 
@@ -175,7 +177,7 @@ TEST(Checkpoint, WarmupOnlyLegPlusMeasurementLegMatchesUninterrupted)
 
     expectSameRow(r_ref, r_load);
     expectSameMachine(ref, loader);
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 TEST(Checkpoint, BareWarmupSharedAcrossDeferredConfigs)
@@ -215,7 +217,7 @@ TEST(Checkpoint, BareWarmupSharedAcrossDeferredConfigs)
         expectSameRow(r_ref, r_load);
         expectSameMachine(ref, loader);
     }
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 TEST(Checkpoint, PmpWarmupAndDeferredAttachIdentity)
@@ -252,14 +254,16 @@ TEST(Checkpoint, PmpWarmupAndDeferredAttachIdentity)
 
     expectSameRow(r_ref, r_load);
     expectSameMachine(ref, loader);
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 TEST(Checkpoint, SavedFilesAreByteIdentical)
 {
     // Determinism of the writer itself: two identical runs must produce
-    // bit-for-bit identical checkpoint files (hash-stable golden fixtures
-    // depend on this; unordered containers are serialized sorted).
+    // bit-for-bit identical manifests and blobs (hash-stable golden
+    // fixtures depend on this; unordered containers are serialized
+    // sorted). Each save has its own store, which the manifest does not
+    // name, so the manifests may be compared whole.
     const std::string p1 = tmpPath("ckpt_det_1.ckpt");
     const std::string p2 = tmpPath("ckpt_det_2.ckpt");
     SimOptions o;
@@ -276,8 +280,14 @@ TEST(Checkpoint, SavedFilesAreByteIdentical)
     b.run();
 
     EXPECT_EQ(readFile(p1), readFile(p2));
-    std::remove(p1.c_str());
-    std::remove(p2.c_str());
+    const CkptFileInfo i1 = inspectCkptFile(p1);
+    const CkptFileInfo i2 = inspectCkptFile(p2);
+    ASSERT_EQ(4u, i1.blobs.size()); // engine, memory, core, pfm
+    ASSERT_EQ(i1.blobs.size(), i2.blobs.size());
+    for (std::size_t i = 0; i < i1.blobs.size(); ++i)
+        EXPECT_EQ(readFile(i1.blobs[i].path), readFile(i2.blobs[i].path));
+    ckptRemove(p1);
+    ckptRemove(p2);
 }
 
 TEST(Checkpoint, SweepRunnerShardedMatchesSerialReference)
@@ -421,7 +431,7 @@ TEST(Checkpoint, WriterReaderPrimitivesRoundTrip)
     EXPECT_EQ(dq, dq2);
     r.endSection();
     EXPECT_TRUE(r.atEnd());
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 // ------------------------------------------------------------ atomic write
@@ -456,7 +466,7 @@ TEST(Checkpoint, SuccessfulSaveLeavesNoTempFile)
     writeTinyImage(path, 7);
     EXPECT_TRUE(fileExists(path));
     EXPECT_FALSE(fileExists(path + ".tmp"));
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 TEST(Checkpoint, StaleTempFromInterruptedWriteIsInvisible)
@@ -476,7 +486,7 @@ TEST(Checkpoint, StaleTempFromInterruptedWriteIsInvisible)
     EXPECT_EQ(42u, r.get<std::uint32_t>());
     r.endSection();
     EXPECT_TRUE(r.atEnd());
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 // ------------------------------------------------------------- corruption
@@ -527,9 +537,9 @@ TEST(CheckpointDeathTest, MissingFileIsFatal)
 
 TEST(CheckpointDeathTest, UnwritableSavePathIsFatalAndLeavesNothing)
 {
-    // The temp-file open fails before a single byte lands anywhere; the
+    // Creating the store fails before a single byte lands anywhere; the
     // death-test child shares our filesystem, so the parent can assert
-    // neither the final path nor the temp exists afterwards.
+    // neither the manifest, its temp nor its store exists afterwards.
     const std::string path =
         tmpPath("ckpt_no_such_dir") + "/ckpt_unwritable.ckpt";
     SimOptions o = smallBareOptions();
@@ -539,22 +549,26 @@ TEST(CheckpointDeathTest, UnwritableSavePathIsFatalAndLeavesNothing)
             Simulator sim(o);
             sim.run();
         },
-        ::testing::ExitedWithCode(1), "cannot open for writing");
+        ::testing::ExitedWithCode(1), "cannot create store directory");
     EXPECT_FALSE(fileExists(path));
     EXPECT_FALSE(fileExists(path + ".tmp"));
+    struct stat st{};
+    EXPECT_NE(0, ::stat(ckptStoreDir(path, "").c_str(), &st));
 }
 
 TEST(CheckpointDeathTest, RenameFailureRemovesTempImage)
 {
-    // Final path occupied by a directory: the temp write succeeds but the
-    // rename cannot publish it. The failure path must remove the temp so
-    // an interrupted save leaves no partial image under either name.
+    // Final path occupied by a directory: the blobs and the temp manifest
+    // are written but the rename cannot publish the manifest. The failure
+    // path must remove the temp so an interrupted save leaves no partial
+    // manifest under either name.
     const std::string path = tmpPath("ckpt_rename_blocked");
     ASSERT_EQ(0, ::mkdir(path.c_str(), 0755));
     EXPECT_EXIT(writeTinyImage(path, 9), ::testing::ExitedWithCode(1),
-                "cannot rename temp image into place");
+                "cannot rename temp manifest into place");
     EXPECT_FALSE(fileExists(path + ".tmp"));
     ::rmdir(path.c_str());
+    ckptStoreRemoveDir(ckptStoreDir(path, ""));
 }
 
 TEST(CheckpointDeathTest, TruncatedFileIsFatal)
@@ -565,126 +579,175 @@ TEST(CheckpointDeathTest, TruncatedFileIsFatal)
     writeFile(path, bytes);
     EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
                 "truncated");
-    std::remove(path.c_str());
+    ckptRemove(path);
+}
+
+/**
+ * Flip the low bit of the first stored byte of the blob holding the
+ * checkpoint's final section: a raw payload byte (the CRC fails) or the
+ * first LZ token, whose match length then no longer adds up (the stream
+ * fails to decode). Only the file changes: the blob was never read here,
+ * so the death-test child cannot be served a cached copy.
+ */
+void
+flipLastSectionBlob(const std::string& path)
+{
+    const CkptFileInfo info = inspectCkptFile(path);
+    ASSERT_FALSE(info.blobs.empty()) << path;
+    const std::string blob = info.blobs.back().path;
+    std::vector<unsigned char> bytes = readFile(blob);
+    ASSERT_GT(bytes.size(), kCkptBlobHeaderBytes);
+    bytes[kCkptBlobHeaderBytes] ^= 0x01;
+    writeFile(blob, bytes);
 }
 
 TEST(CheckpointDeathTest, FlippedPayloadByteIsFatalWithSectionName)
 {
     const std::string path = saveSmallCheckpoint("ckpt_flip.ckpt");
-    std::vector<unsigned char> bytes = readFile(path);
-    // The last payload byte in the file belongs to the final ("core")
-    // section; the CRC failure must name it.
-    bytes.back() ^= 0x01;
-    writeFile(path, bytes);
+    // Both failure modes must name the final ("core") section.
+    flipLastSectionBlob(path);
     EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
-                "CRC mismatch.*section 'core'");
-    std::remove(path.c_str());
+                "(corrupt compressed blob|CRC mismatch in blob).*"
+                "section 'core'");
+    ckptRemove(path);
 }
 
 TEST(CheckpointDeathTest, FlippedHeaderAndFlagBitsAreFatal)
 {
-    // Image layout of the small bare checkpoint: magic u64, version u32,
+    // Manifest of the small bare checkpoint: magic u64, version u32,
     // fingerprint u64, "astar" and "none" (u32 length + bytes), retired
-    // u64 at offsets 37..44, header CRC u32, then the first section frame
-    // ("engine": name, stored length u64, CRC u32, flags u8 at 71).
+    // u64 at offsets 37..44, the store subdir (empty: the file's own),
+    // the section count (3), then the entries ("engine": name, hash u64,
+    // raw length u64, raw CRC u32, flags u8 at 83). Flipped header bits
+    // fail the manifest CRC; a flag bit no writer sets, with the CRC
+    // re-signed, fails the flags check.
     struct Corruption {
         std::size_t offset;
         unsigned char bits;
+        bool resign;
         const char* message;
     };
     const Corruption cases[] = {
-        {37, 0x01, "header CRC mismatch"},
-        {44, 0x80, "header CRC mismatch"},
-        {71, 0x10, "unknown section flags 16 \\(section 'engine'\\)"},
+        {37, 0x01, false, "manifest CRC mismatch"},
+        {44, 0x80, false, "manifest CRC mismatch"},
+        {83, 0x10, true, "unknown flags 1[67] in manifest entry 'engine'"},
     };
     for (const Corruption& c : cases) {
         SCOPED_TRACE(c.offset);
         const std::string path = saveSmallCheckpoint("ckpt_hdr.ckpt");
         std::vector<unsigned char> bytes = readFile(path);
-        ASSERT_GT(bytes.size(), 72u);
-        ASSERT_EQ(0, std::memcmp(&bytes[49], "\x06\0\0\0engine", 10));
+        ASSERT_GT(bytes.size(), 84u);
+        ASSERT_EQ(0, std::memcmp(&bytes[45], "\0\0\0\0\3\0\0\0"
+                                             "\x06\0\0\0engine", 18));
         bytes[c.offset] ^= c.bits;
+        if (c.resign) {
+            const std::uint32_t crc =
+                ckptCrc32(bytes.data(), bytes.size() - 4);
+            std::memcpy(&bytes[bytes.size() - 4], &crc, 4);
+        }
         writeFile(path, bytes);
         EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
                     c.message);
-        std::remove(path.c_str());
+        ckptRemove(path);
     }
+}
+
+/**
+ * Rewrite the checkpoint at @p path section by section through
+ * CkptReader and CkptWriter, letting @p mutate edit each raw payload: a
+ * corruption that keeps every CRC valid, so only the loaders' own checks
+ * can catch it.
+ */
+void
+rewriteSections(
+    const std::string& path, const std::vector<std::string>& names,
+    const std::function<void(const CkptHeader&, const std::string&,
+                             std::vector<unsigned char>&)>& mutate)
+{
+    CkptReader r(path);
+    const CkptHeader h = r.readHeader();
+    std::vector<std::vector<unsigned char>> payloads;
+    for (const std::string& name : names) {
+        r.beginSection(name);
+        payloads.emplace_back(r.remaining());
+        r.getBytes(payloads.back().data(), payloads.back().size());
+        r.endSection();
+        mutate(h, name, payloads.back());
+    }
+    ASSERT_TRUE(r.atEnd());
+
+    CkptWriter w(path);
+    w.writeHeader(h);
+    for (std::size_t i = 0; i < names.size(); ++i) {
+        w.beginSection(names[i]);
+        w.putBytes(payloads[i].data(), payloads[i].size());
+        w.endSection();
+    }
+    w.finish();
 }
 
 TEST(CheckpointDeathTest, IqListDisagreeingWithSlabIsFatal)
 {
     // The IQ is derived state: the loader checks the stored list against
-    // the slab's waiting records. Drop one entry and re-sign the "core"
-    // section frame, so only that check can catch it.
+    // the slab's waiting records. Drop one entry from the "core" payload
+    // and save it again, so only that check can catch it.
     const std::string path = saveSmallCheckpoint("ckpt_iq.ckpt");
-    std::vector<unsigned char> bytes = readFile(path);
-    auto u64At = [&bytes](std::size_t off) {
-        std::uint64_t v;
-        std::memcpy(&v, &bytes[off], 8);
-        return v;
-    };
-    auto putU64 = [&bytes](std::size_t off, std::uint64_t v) {
-        std::memcpy(&bytes[off], &v, 8);
-    };
+    std::uint64_t dropped = 0;
+    rewriteSections(path, {"engine", "memory", "core"},
+                    [&dropped](const CkptHeader& h, const std::string& name,
+                               std::vector<unsigned char>& bytes) {
+        if (name != "core")
+            return;
+        auto u64At = [&bytes](std::size_t off) {
+            std::uint64_t v;
+            std::memcpy(&v, &bytes[off], 8);
+            return v;
+        };
 
-    // "core" is the last section: name, stored length u64, CRC u32,
-    // flags u8, raw length u64, payload.
-    const unsigned char name[] = {4, 0, 0, 0, 'c', 'o', 'r', 'e'};
-    auto it = std::search(bytes.begin(), bytes.end(), std::begin(name),
-                          std::end(name));
-    ASSERT_NE(bytes.end(), it);
-    const std::size_t frame = static_cast<std::size_t>(
-        it - bytes.begin() + sizeof(name));
-    const std::size_t payload = frame + 8 + 4 + 1 + 8;
-    ASSERT_EQ(0, bytes[frame + 12]) << "core section is compressed";
-    ASSERT_EQ(bytes.size() - payload, u64At(frame));
+        // The slab window follows retired_ (== the header's retired
+        // count) and halt_retired_: head_seq_ (== retired_),
+        // dispatch_end_, fetch_end_, engine_next_, staged_valid_, then
+        // one fixed-size record per seq of [head_seq_, engine_next_),
+        // each led by its seq.
+        std::vector<unsigned char> window(17, 0);
+        std::memcpy(&window[0], &h.retired, 8);
+        std::memcpy(&window[9], &h.retired, 8);
+        auto w = std::search(bytes.begin(), bytes.end(), window.begin(),
+                             window.end());
+        ASSERT_NE(bytes.end(), w);
+        const std::size_t head_at =
+            static_cast<std::size_t>(w - bytes.begin() + 9);
+        const std::uint64_t head = u64At(head_at);
+        const std::uint64_t dispatch_end = u64At(head_at + 8);
+        const std::uint64_t engine_next = u64At(head_at + 24);
+        // seq, pc, next_pc, taken, mem_addr, mem_size, result,
+        // store_val, dispatch_ready, 5 prediction flags, state, src1,
+        // src2, complete_cycle, mem_barrier, forwarded, forwarded_from,
+        // service_level.
+        const std::size_t kRecordBytes = 8 * 3 + 1 + 8 + 1 + 8 * 3 + 5 +
+                                         1 + 8 * 4 + 1 + 8 + 4;
+        const std::size_t records = head_at + 33;
+        for (std::uint64_t s = head; s != engine_next; ++s)
+            ASSERT_EQ(s, u64At(records + (s - head) * kRecordBytes));
 
-    // The slab window follows retired_ (the header's u64 at offset 37)
-    // and halt_retired_: head_seq_ (== retired_), dispatch_end_,
-    // fetch_end_, engine_next_, staged_valid_, then one fixed-size record
-    // per seq of [head_seq_, engine_next_), each led by its seq.
-    const std::uint64_t retired = u64At(37);
-    std::vector<unsigned char> window(17, 0);
-    std::memcpy(&window[0], &retired, 8);
-    std::memcpy(&window[9], &retired, 8);
-    auto w = std::search(bytes.begin() + payload, bytes.end(),
-                         window.begin(), window.end());
-    ASSERT_NE(bytes.end(), w);
-    const std::size_t head_at = static_cast<std::size_t>(
-        w - bytes.begin() + 9);
-    const std::uint64_t head = u64At(head_at);
-    const std::uint64_t dispatch_end = u64At(head_at + 8);
-    const std::uint64_t engine_next = u64At(head_at + 24);
-    // seq, pc, next_pc, taken, mem_addr, mem_size, result, store_val,
-    // dispatch_ready, 5 prediction flags, state, src1, src2,
-    // complete_cycle, mem_barrier, forwarded, forwarded_from,
-    // service_level.
-    const std::size_t kRecordBytes = 8 * 3 + 1 + 8 + 1 + 8 * 3 + 5 + 1 +
-                                     8 * 4 + 1 + 8 + 4;
-    const std::size_t records = head_at + 33;
-    for (std::uint64_t s = head; s != engine_next; ++s)
-        ASSERT_EQ(s, u64At(records + (s - head) * kRecordBytes));
-
-    const std::size_t iq = records + (engine_next - head) * kRecordBytes;
-    const std::uint64_t n = u64At(iq);
-    ASSERT_GT(n, 0u) << "no waiting instruction at the save point";
-    const std::uint64_t dropped = u64At(iq + 8);
-    ASSERT_GE(dropped, head);
-    ASSERT_LT(dropped, dispatch_end);
-    putU64(iq, n - 1);
-    bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(iq + 8),
-                bytes.begin() + static_cast<std::ptrdiff_t>(iq + 16));
-    putU64(frame, u64At(frame) - 8);
-    putU64(frame + 13, u64At(frame + 13) - 8);
-    const std::uint32_t crc =
-        ckptCrc32(&bytes[payload], bytes.size() - payload);
-    std::memcpy(&bytes[frame + 8], &crc, 4);
-    writeFile(path, bytes);
+        const std::size_t iq =
+            records + (engine_next - head) * kRecordBytes;
+        const std::uint64_t n = u64At(iq);
+        ASSERT_GT(n, 0u) << "no waiting instruction at the save point";
+        dropped = u64At(iq + 8);
+        ASSERT_GE(dropped, head);
+        ASSERT_LT(dropped, dispatch_end);
+        const std::uint64_t fewer = n - 1;
+        std::memcpy(&bytes[iq], &fewer, 8);
+        bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(iq + 8),
+                    bytes.begin() + static_cast<std::ptrdiff_t>(iq + 16));
+    });
+    ASSERT_NE(0u, dropped);
 
     EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
                 "IQ list lacks waiting seq " + std::to_string(dropped) +
                     " \\(section 'core'\\)");
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 TEST(CheckpointDeathTest, WrongVersionTagIsFatal)
@@ -695,13 +758,14 @@ TEST(CheckpointDeathTest, WrongVersionTagIsFatal)
         SCOPED_TRACE(static_cast<int>(version));
         const std::string path = saveSmallCheckpoint("ckpt_ver.ckpt");
         std::vector<unsigned char> bytes = readFile(path);
-        // Format version u32 sits right after the u64 magic.
+        // Format version u32 sits right after the u64 magic and is
+        // checked before the manifest CRC.
         bytes[8] = version;
         writeFile(path, bytes);
         EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
                     "format version " + std::to_string(version) +
                         " != supported version 4");
-        std::remove(path.c_str());
+        ckptRemove(path);
     }
 }
 
@@ -713,7 +777,7 @@ TEST(CheckpointDeathTest, BadMagicIsFatal)
     writeFile(path, bytes);
     EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
                 "bad magic, not a PFM checkpoint");
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 TEST(CheckpointDeathTest, TrailingBytesAreFatal)
@@ -723,8 +787,8 @@ TEST(CheckpointDeathTest, TrailingBytesAreFatal)
     bytes.insert(bytes.end(), {1, 2, 3, 4});
     writeFile(path, bytes);
     EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
-                "trailing bytes after the last section");
-    std::remove(path.c_str());
+                "trailing bytes after manifest");
+    ckptRemove(path);
 }
 
 TEST(CheckpointDeathTest, SectionOrderMismatchIsFatal)
@@ -745,7 +809,7 @@ TEST(CheckpointDeathTest, SectionOrderMismatchIsFatal)
     EXPECT_EXIT(read_wrong_order(), ::testing::ExitedWithCode(1),
                 "expected section 'beta', found 'alpha' \\(section order "
                 "mismatch\\)");
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 TEST(CheckpointDeathTest, UnconsumedSectionBytesAreFatal)
@@ -767,7 +831,7 @@ TEST(CheckpointDeathTest, UnconsumedSectionBytesAreFatal)
     };
     EXPECT_EXIT(underread(), ::testing::ExitedWithCode(1),
                 "unconsumed payload bytes.*section 'alpha'");
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 TEST(CheckpointDeathTest, ImplausibleElementCountIsFatal)
@@ -789,7 +853,7 @@ TEST(CheckpointDeathTest, ImplausibleElementCountIsFatal)
     };
     EXPECT_EXIT(overread(), ::testing::ExitedWithCode(1),
                 "implausible element count.*section 'alpha'");
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 TEST(CheckpointDeathTest, WrongWorkloadIsFatal)
@@ -804,7 +868,7 @@ TEST(CheckpointDeathTest, WrongWorkloadIsFatal)
     };
     EXPECT_EXIT(load_other(), ::testing::ExitedWithCode(1),
                 "saved for workload 'astar', not 'bfs-roads'");
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 TEST(CheckpointDeathTest, ComponentPresenceMismatchIsFatal)
@@ -819,7 +883,7 @@ TEST(CheckpointDeathTest, ComponentPresenceMismatchIsFatal)
     };
     EXPECT_EXIT(load_with_component(), ::testing::ExitedWithCode(1),
                 "lacks a PFM component but this simulator attached one");
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 TEST(CheckpointDeathTest, ConfigFingerprintDriftIsFatal)
@@ -834,7 +898,7 @@ TEST(CheckpointDeathTest, ConfigFingerprintDriftIsFatal)
     };
     EXPECT_EXIT(load_other_config(), ::testing::ExitedWithCode(1),
                 "config fingerprint");
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 TEST(CheckpointDeathTest, CorruptPmpSectionIsFatalWithSectionName)
@@ -852,9 +916,7 @@ TEST(CheckpointDeathTest, CorruptPmpSectionIsFatalWithSectionName)
     Simulator saver(o);
     saver.run();
 
-    std::vector<unsigned char> bytes = readFile(path);
-    bytes.back() ^= 0x01; // last payload byte: the final ("pfm") section
-    writeFile(path, bytes);
+    flipLastSectionBlob(path); // the final ("pfm") section
 
     auto load_pmp = [&path] {
         SimOptions lo;
@@ -867,8 +929,9 @@ TEST(CheckpointDeathTest, CorruptPmpSectionIsFatalWithSectionName)
         sim.run();
     };
     EXPECT_EXIT(load_pmp(), ::testing::ExitedWithCode(1),
-                "CRC mismatch.*section 'pfm'");
-    std::remove(path.c_str());
+                "(corrupt compressed blob|CRC mismatch in blob).*"
+                "section 'pfm'");
+    ckptRemove(path);
 }
 
 TEST(CheckpointDeathTest, UnsupportedComponentSaveIsFatal)
@@ -917,11 +980,48 @@ fixtureOptions()
     return o;
 }
 
+/** One "name:crc:bytes" field per section, space-separated. */
+std::string
+formatDigest(const MachineDigest& d)
+{
+    std::ostringstream os;
+    for (const CkptSectionDigest& sec : d) {
+        char crc[16];
+        std::snprintf(crc, sizeof crc, "%08x", sec.crc);
+        os << (&sec == &d.front() ? "" : " ") << sec.name << ":" << crc
+           << ":" << sec.bytes;
+    }
+    return os.str();
+}
+
+MachineDigest
+parseDigest(const std::string& line)
+{
+    MachineDigest d;
+    std::istringstream is(line);
+    std::string field;
+    while (is >> field) {
+        const std::size_t a = field.find(':');
+        const std::size_t b = field.rfind(':');
+        EXPECT_LT(a, b) << field;
+        if (a >= b)
+            break;
+        d.push_back({field.substr(0, a),
+                     static_cast<std::uint32_t>(
+                         std::stoul(field.substr(a + 1, b - a - 1), nullptr,
+                                    16)),
+                     std::stoull(field.substr(b + 1))});
+    }
+    return d;
+}
+
 /**
- * Restore @p fixture and digest the resulting report (SimResult head +
- * the core and memory stat dumps; the fixture is bare-core). With
- * @p regen set, write the digest to @p digest_file instead of comparing
- * against it.
+ * Restore @p fixture, run the measurement and check two digests against
+ * the two lines of @p digest_file: the report (SimResult head + the core
+ * and memory stat dumps; the fixture is bare-core), then the whole
+ * machine after the run (machineDigest(): every cache plane, DRAM slot
+ * and l1i/l1d/l2/l3/dram counter the report does not show). With
+ * @p regen set, write them to @p digest_file instead of comparing.
  */
 void
 checkFixtureDigest(const std::string& fixture,
@@ -945,10 +1045,11 @@ checkFixtureDigest(const std::string& fixture,
     char digest[16];
     std::snprintf(digest, sizeof digest, "%08x",
                   ckptCrc32(report.data(), report.size()));
+    const MachineDigest machine = sim.machineDigest();
 
     if (regen) {
         std::ofstream os(digest_file, std::ios::trunc);
-        os << digest << "\n";
+        os << digest << "\n" << formatDigest(machine) << "\n";
         ASSERT_TRUE(os.good());
         GTEST_SKIP() << "fixture regenerated, digest " << digest;
     }
@@ -956,30 +1057,33 @@ checkFixtureDigest(const std::string& fixture,
     std::ifstream is(digest_file);
     ASSERT_TRUE(is.good()) << digest_file;
     std::string expected;
-    is >> expected;
+    std::string expected_machine;
+    std::getline(is, expected);
+    std::getline(is, expected_machine);
     // A mismatch means the simulator's measured-phase behaviour or the
     // checkpoint format changed. If intentional: bump kCkptFormatVersion
-    // when the *format* changed, and regenerate the fixture pair with
+    // when the *format* changed, and regenerate the fixture with
     // PFM_REGEN_FIXTURES=1.
     EXPECT_EQ(expected, digest);
+    expectSameMachine(parseDigest(expected_machine), machine);
 }
 
 TEST(Checkpoint, GoldenFixtureReportDigestV4)
 {
-    // Current-format fixture, saved with compression forced on so the
-    // digest also pins the compressed-frame encoding.
+    // Current-format fixture: the manifest astar_bare_v4.ckpt and its
+    // own store astar_bare_v4.ckpt.blobs/ (compressed blobs, so the
+    // digests also pin the blob encoding).
     const std::string dir = PFM_FIXTURES_DIR;
     const std::string fixture = dir + "/astar_bare_v4.ckpt";
     const bool regen = std::getenv("PFM_REGEN_FIXTURES") != nullptr;
 
     if (regen) {
-        ::setenv("PFM_CKPT_COMPRESS", "1", 1);
+        ckptRemove(fixture);
         SimOptions o = fixtureOptions();
         o.max_instructions = 0;
         o.checkpoint_save = fixture;
         Simulator sim(o);
         sim.run();
-        ::unsetenv("PFM_CKPT_COMPRESS");
     }
 
     checkFixtureDigest(fixture, dir + "/astar_bare_v4.digest", regen);

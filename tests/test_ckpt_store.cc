@@ -1,14 +1,11 @@
 /**
  * @file
  * Checkpoint store tests: the in-tree LZ codec, content-addressed blob
- * dedup, manifest round-trips, and the corruption surface the store adds
+ * dedup, manifest round-trips, and the blob-side corruption surface
  * (bit-flipped/truncated/missing blobs, tampered manifests, hash
- * collisions). The identity property mirrors test_checkpoint.cc's: a
- * restore from the compressed+deduped store must be indistinguishable —
- * same BENCH row, same whole-machine digest (tests/identity.h) — from a
- * restore of a plain whole-image checkpoint, across the same 9-config
- * matrix and an 8-leg lbm farm whose shared warmups must dedup at least
- * 5x.
+ * collisions). An 8-leg lbm farm saved into one shared store must dedup
+ * its warmups at least 5x against the raw section payloads. Restore
+ * identity (store restore vs uninterrupted run) is test_checkpoint.cc's.
  */
 
 #include <gtest/gtest.h>
@@ -18,6 +15,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -26,7 +24,6 @@
 #include <unistd.h>
 
 #include "common/lz.h"
-#include "identity.h"
 #include "sim/checkpoint.h"
 #include "sim/ckpt_store.h"
 #include "sim/options.h"
@@ -232,7 +229,6 @@ writeStoreCkpt(const std::string& path, const std::string& subdir,
 {
     CkptWriter w(path);
     w.setStore(subdir);
-    w.setCompress(true);
     CkptHeader h;
     h.fingerprint = 0x1234;
     h.workload = "unit";
@@ -333,36 +329,6 @@ TEST(CkptStore, SharedSectionsDedupAcrossConfigs)
     ::rmdir(dir.c_str());
 }
 
-TEST(CkptStore, CompressedPlainImageRoundTrips)
-{
-    // setCompress without setStore: a single self-contained image with
-    // compressed section frames (PFM_CKPT_COMPRESS=1 on a plain save).
-    const std::string path = tmpPath("store_img.ckpt");
-    StorePayload p = makePayload(5);
-    CkptWriter w(path);
-    w.setCompress(true);
-    CkptHeader h;
-    h.workload = "unit";
-    h.component = "none";
-    w.writeHeader(h);
-    w.beginSection("engine");
-    w.putVec(p.engine);
-    w.endSection();
-    w.finish();
-
-    EXPECT_LT(fileSize(path), p.engine.size()); // frames actually packed
-
-    CkptReader r(path);
-    EXPECT_EQ(kCkptFormatVersion, r.readHeader().version);
-    std::vector<std::uint8_t> engine;
-    r.beginSection("engine");
-    r.getVec(engine);
-    r.endSection();
-    EXPECT_EQ(p.engine, engine);
-    EXPECT_TRUE(r.atEnd());
-    std::remove(path.c_str());
-}
-
 TEST(CkptStore, InspectReportsCostsAndToleratesJunk)
 {
     const std::string dir = tmpPath("store_inspect");
@@ -371,7 +337,6 @@ TEST(CkptStore, InspectReportsCostsAndToleratesJunk)
     writeStoreCkpt(dir + "/m.ckpt", "blobs", p);
 
     CkptFileInfo m = inspectCkptFile(dir + "/m.ckpt");
-    EXPECT_TRUE(m.manifest);
     EXPECT_EQ(kCkptFormatVersion, m.version);
     EXPECT_EQ(fileSize(dir + "/m.ckpt"), m.file_bytes);
     ASSERT_EQ(2u, m.blobs.size());
@@ -387,7 +352,6 @@ TEST(CkptStore, InspectReportsCostsAndToleratesJunk)
     // inspect as a plain opaque payload, never die.
     writeFile(dir + "/junk", pseudoRandom(1000, 11));
     CkptFileInfo j = inspectCkptFile(dir + "/junk");
-    EXPECT_FALSE(j.manifest);
     EXPECT_EQ(1000u, j.file_bytes);
     EXPECT_EQ(1000u, j.logical_bytes);
     EXPECT_TRUE(j.blobs.empty());
@@ -415,144 +379,40 @@ TEST(CkptStore, RemoveDirDeletesBlobsAndDirectory)
     ::rmdir(dir.c_str());
 }
 
-// ------------------------------------------------------- restore identity
+// -------------------------------------------------------------- farm dedup
 
-struct CkConfig {
-    const char* name;
-    const char* workload;
-    const char* component;
-    const char* tokens;
-    std::uint64_t warmup;
-    bool fastfwd;
-    /** Warm up bare; the component attaches at the warmup boundary. */
-    bool defer = false;
-};
-
-/** Same 9-config spread test_checkpoint.cc pins plain round-trips on. */
-const CkConfig kConfigs[] = {
-    {"astar_bare_ff", "astar", "none", "", 6000, true},
-    {"astar_bare_noff_shortwarm", "astar", "none", "", 3000, false},
-    {"bfs_bare_ff", "bfs-roads", "none", "", 6000, true},
-    {"libq_pf_ff", "libquantum", "auto", "clk4_w4 delay0 queue32 portALL",
-     6000, true},
-    {"libq_pf_noff", "libquantum", "auto", "clk4_w4 delay0 queue32 portALL",
-     6000, false},
-    {"lbm_pf_slow_ff", "lbm", "auto", "clk8_w1 delay8 queue8 portLS1",
-     12000, true},
-    {"milc_pf_ff_longwarm", "milc", "auto", "", 12000, true},
-    {"bwaves_pf_noff", "bwaves", "auto", "", 3000, false},
-    {"leslie_pf_ff_nol1pf", "leslie", "auto", "noL1pf", 6000, true},
-};
-
-/**
- * The per-config farm save pattern: eight deferred lbm prefetcher legs
- * over two warmup lengths, each saving its own bare warmup. Within one
- * length the warmup state is identical, so the store keeps one blob set
- * per length plus a small manifest per leg.
- */
-const std::vector<CkConfig> kLbmFarm = {
-    {"farm_0", "lbm", "auto", "clk4_w4 delay0", 6000, true, true},
-    {"farm_1", "lbm", "auto", "clk4_w4 delay8", 6000, true, true},
-    {"farm_2", "lbm", "auto", "clk8_w1 delay0", 6000, true, true},
-    {"farm_3", "lbm", "auto", "clk8_w1 delay8", 6000, true, true},
-    {"farm_4", "lbm", "auto", "clk4_w4 delay0 queue8", 12000, true, true},
-    {"farm_5", "lbm", "auto", "clk4_w4 delay0 queue32", 12000, true, true},
-    {"farm_6", "lbm", "auto", "clk8_w1 delay8 portLS1", 12000, true, true},
-    {"farm_7", "lbm", "auto", "clk4_w4 delay0 portALL", 12000, true, true},
-};
-
-SimOptions
-ckOptions(const CkConfig& cfg)
+TEST(CkptStore, LbmFarmSharedStoreDedupsFiveTimes)
 {
-    SimOptions o;
-    o.workload = cfg.workload;
-    o.component = cfg.component;
-    o.defer_component = cfg.defer;
-    o.warmup_instructions = cfg.warmup;
-    o.max_instructions = 24'000;
-    o.fastfwd = cfg.fastfwd;
-    if (cfg.tokens[0] != '\0')
-        applyTokens(o, cfg.tokens);
-    return o;
-}
-
-/** The warmup-only leg that saves @p cfg's checkpoint. */
-SimOptions
-ckSaveOptions(const CkConfig& cfg)
-{
-    CkConfig warm = cfg;
-    if (cfg.defer) {
-        warm.component = "none";
-        warm.tokens = "";
-        warm.defer = false;
-    }
-    SimOptions o = ckOptions(warm);
-    o.max_instructions = 0;
-    return o;
-}
-
-/**
- * Saves every leg of @p farm twice — as a plain whole image and, through
- * one store shared by the farm, as a manifest — then restores each leg
- * from both and expects the same row and machine digest. Returns plain
- * bytes / store bytes (manifests plus blobs).
- */
-double
-expectStoreMatchesPlain(const std::string& farm_name,
-                        const std::vector<CkConfig>& farm)
-{
-    const std::string subdir = "ckpt_ss_" + farm_name + "_blobs";
-    std::uint64_t plain_bytes = 0;
+    // The per-config farm save pattern: eight lbm legs over two warmup
+    // lengths, each saving its own bare warmup into one shared store.
+    // Within one length the warmup state is identical, so the store keeps
+    // one blob set per length plus a small manifest per leg.
+    const std::uint64_t kWarmups[] = {6000, 6000, 6000, 6000,
+                                      12000, 12000, 12000, 12000};
+    const std::string subdir = "ckpt_farm_blobs";
+    std::uint64_t logical_bytes = 0;
     std::uint64_t store_bytes = 0;
-    for (const CkConfig& cfg : farm) {
-        SCOPED_TRACE(cfg.name);
-        const std::string plain =
-            tmpPath(std::string("ckpt_sp_") + cfg.name + ".ckpt");
-        const std::string via_store =
-            tmpPath(std::string("ckpt_ss_") + cfg.name + ".ckpt");
-
-        SimOptions save_plain = ckSaveOptions(cfg);
-        save_plain.checkpoint_save = plain;
-        Simulator(save_plain).run();
-
-        SimOptions save_store = ckSaveOptions(cfg);
-        save_store.checkpoint_save = via_store;
-        save_store.ckpt_store = subdir;
-        Simulator(save_store).run();
-
-        plain_bytes += fileSize(plain);
-        store_bytes += fileSize(via_store);
-
-        SimOptions load_plain = ckOptions(cfg);
-        load_plain.checkpoint_load = plain;
-        Simulator ref(load_plain);
-        SimResult r_plain = ref.run();
-
-        SimOptions load_store = ckOptions(cfg);
-        load_store.checkpoint_load = via_store;
-        Simulator dut(load_store);
-        SimResult r_store = dut.run();
-
-        expectSameRow(r_plain, r_store);
-        expectSameMachine(ref, dut);
-
-        std::remove(plain.c_str());
-        std::remove(via_store.c_str());
+    for (std::size_t i = 0; i < std::size(kWarmups); ++i) {
+        const std::string path =
+            tmpPath("ckpt_farm_" + std::to_string(i) + ".ckpt");
+        SimOptions o;
+        o.workload = "lbm";
+        o.component = "none";
+        o.warmup_instructions = kWarmups[i];
+        o.max_instructions = 0;
+        o.checkpoint_save = path;
+        o.ckpt_store = subdir;
+        Simulator(o).run();
+        const CkptFileInfo info = inspectCkptFile(path);
+        EXPECT_EQ(3u, info.blobs.size());
+        logical_bytes += info.logical_bytes;
+        store_bytes += info.file_bytes;
+        std::remove(path.c_str());
     }
-    store_bytes += ckptStoreDirBytes(::testing::TempDir() + subdir);
-    ckptStoreRemoveDir(::testing::TempDir() + subdir);
-    return static_cast<double>(plain_bytes) /
-           static_cast<double>(store_bytes);
-}
-
-TEST(CkptStore, StoreRestoreMatchesPlainRestoreAcrossConfigs)
-{
-    // Alone, every config's manifest + blobs undercut its whole image.
-    for (const CkConfig& cfg : kConfigs)
-        EXPECT_GT(expectStoreMatchesPlain(cfg.name, {cfg}), 1.0)
-            << cfg.name;
-    // Across the farm, shared warmups dedup to the store's 5x floor.
-    EXPECT_GE(expectStoreMatchesPlain("lbm_farm", kLbmFarm), 5.0);
+    store_bytes += ckptStoreDirBytes(tmpPath(subdir));
+    ckptStoreRemoveDir(tmpPath(subdir));
+    EXPECT_GE(static_cast<double>(logical_bytes),
+              5.0 * static_cast<double>(store_bytes));
 }
 
 // ------------------------------------------------------------- corruption
@@ -706,40 +566,6 @@ pokeU64(std::vector<std::uint8_t>& bytes, std::size_t at, std::uint64_t v)
 {
     ASSERT_LE(at + 8, bytes.size());
     std::memcpy(bytes.data() + at, &v, 8);
-}
-
-TEST(CkptStoreDeathTest, ImplausibleRawLenInImageFrameIsFatal)
-{
-    // The section frame's raw-length field is not covered by the
-    // payload CRC; a flipped high bit must die by name at the bounds
-    // check, not as a bad_alloc from a petabyte resize.
-    const std::string path = tmpPath("ckpt_rawlen_img.ckpt");
-    CkptWriter w(path);
-    w.setCompress(true);
-    CkptHeader h;
-    h.workload = "unit";
-    h.component = "none";
-    w.writeHeader(h);
-    w.beginSection("engine");
-    w.putVec(makePayload(6).engine);
-    w.endSection();
-    w.finish();
-
-    std::vector<std::uint8_t> bytes = readFile(path);
-    // Frame layout: name, stored_len u64, crc u32, flags u8, raw_len u64.
-    std::size_t name = findBytes(bytes, "engine");
-    ASSERT_NE(std::string::npos, name);
-    pokeU64(bytes, name + 6 + 8 + 4 + 1, 1ull << 63);
-    writeFile(path, bytes);
-
-    auto load = [&] {
-        CkptReader r(path);
-        r.readHeader();
-        r.beginSection("engine");
-    };
-    EXPECT_EXIT(load(), ::testing::ExitedWithCode(1),
-                "implausible raw length");
-    std::remove(path.c_str());
 }
 
 TEST(CkptStoreDeathTest, ImplausibleRawLenInBlobIsFatal)

@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "core/core.h"
+#include "identity.h"
 #include "isa/functional_engine.h"
 #include "isa/assembler.h"
 #include "sim/checkpoint.h"
@@ -47,11 +48,13 @@ struct CoreRun {
         }
     }
 
-    /** Engine, hierarchy and core state, as the simulator sections it. */
+    /**
+     * Engine, hierarchy and core state, as the simulator sections it:
+     * the one sequence behind both save() and digest().
+     */
     void
-    save(const std::string& path) const
+    writeState(CkptWriter& w) const
     {
-        CkptWriter w(path);
         w.writeHeader(CkptHeader{});
         w.beginSection("engine");
         engine->saveState(w);
@@ -62,6 +65,13 @@ struct CoreRun {
         w.beginSection("core");
         core->saveState(w);
         w.endSection();
+    }
+
+    void
+    save(const std::string& path) const
+    {
+        CkptWriter w(path);
+        writeState(w);
         w.finish();
     }
 
@@ -81,15 +91,14 @@ struct CoreRun {
         r.endSection();
     }
 
-    /** Core and hierarchy stat dumps plus the final cycle. */
-    std::string
-    fingerprint() const
+    /** One CRC per section of everything save() would write. */
+    MachineDigest
+    digest() const
     {
-        std::ostringstream os;
-        os << "cycle " << core->cycle() << "\n";
-        core->stats().dump(os);
-        hier->stats().dump(os);
-        return os.str();
+        CkptWriter w("");
+        w.setDigestOnly();
+        writeState(w);
+        return w.digests();
     }
 };
 
@@ -480,7 +489,7 @@ TEST(CoreSlab, SquashedWaitersUnlinkReplayAndRestore)
     ASSERT_NO_FATAL_FAILURE(ref.run());
     EXPECT_GT(ref.core->stats().get("memory_violations"), 0u);
     EXPECT_GT(ref.core->stats().get("squashed_instrs"), 0u);
-    const std::string want = ref.fingerprint();
+    const MachineDigest want = ref.digest();
 
     // Pinned timing of this kernel: oldest-first select, wake at producer
     // completion and the squash replay all show in these numbers.
@@ -501,11 +510,11 @@ TEST(CoreSlab, SquashedWaitersUnlinkReplayAndRestore)
         b.build(src, CoreParams{}, hp);
         b.load(path);
         b.run();
-        EXPECT_EQ(want, b.fingerprint());
+        expectSameMachine(want, b.digest());
         EXPECT_EQ(ref.mem->read<std::uint64_t>(0),
                   b.mem->read<std::uint64_t>(0));
     }
-    std::remove(path.c_str());
+    ckptRemove(path);
 }
 
 } // namespace

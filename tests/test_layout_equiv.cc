@@ -124,7 +124,7 @@ stateBytes(const Predictor& p, const std::string& name)
     w.endSection();
     w.finish();
     std::vector<unsigned char> bytes = readFile(path);
-    std::remove(path.c_str());
+    ckptRemove(path);
     return bytes;
 }
 
@@ -216,7 +216,7 @@ TEST(LayoutEquiv, TageSclCheckpointRoundTripContinuesIdentically)
         b.loadState(r);
         r.endSection();
     }
-    std::remove(path.c_str());
+    ckptRemove(path);
 
     for (size_t i = 8'000; i < stream.size(); ++i) {
         ASSERT_EQ(a.predict(stream[i].pc), b.predict(stream[i].pc));
@@ -256,7 +256,7 @@ TEST(LayoutEquiv, ReferenceCheckpointRestoresIntoProductionLayout)
         prod.loadState(r);
         r.endSection();
     }
-    std::remove(path.c_str());
+    ckptRemove(path);
 
     for (size_t i = 6'000; i < stream.size(); ++i) {
         ASSERT_EQ(prod.predict(stream[i].pc), ref.predict(stream[i].pc));

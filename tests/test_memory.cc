@@ -328,8 +328,8 @@ TEST(MemoryCheckpoint, SaveLoadSaveIsByteIdentical)
         ASSERT_EQ(a.done, b.done) << "access " << i;
         ASSERT_EQ(a.service_level, b.service_level) << "access " << i;
     }
-    std::remove(first.c_str());
-    std::remove(second.c_str());
+    ckptRemove(first);
+    ckptRemove(second);
 }
 
 using MemoryCheckpointDeathTest = ::testing::Test;
@@ -384,7 +384,7 @@ TEST(MemoryCheckpointDeathTest, MalformedPlanesAndMshrArraysAreFatal)
             cache.loadState(r);
         };
         EXPECT_EXIT(load(), ::testing::ExitedWithCode(1), c.message);
-        std::remove(path.c_str());
+        ckptRemove(path);
     }
 }
 
@@ -409,7 +409,7 @@ TEST(MemoryCheckpointDeathTest, MalformedDramSlotArraysAreFatal)
             dram.loadState(r);
         };
         EXPECT_EXIT(load(), ::testing::ExitedWithCode(1), message);
-        std::remove(path.c_str());
+        ckptRemove(path);
     }
 }
 

@@ -112,7 +112,7 @@ stateBytes(const Model& m, const std::string& name)
     w.endSection();
     w.finish();
     std::vector<unsigned char> bytes = readFile(path);
-    std::remove(path.c_str());
+    ckptRemove(path);
     return bytes;
 }
 
@@ -197,7 +197,7 @@ TEST(PmpEquiv, ProductionCheckpointRestoresIntoReference)
         ref.loadState(r);
         r.endSection();
     }
-    std::remove(path.c_str());
+    ckptRemove(path);
 
     std::vector<Addr> prod_out, ref_out;
     for (std::size_t i = 6'000; i < stream.size(); ++i) {
@@ -238,7 +238,7 @@ TEST(PmpEquiv, ReferenceCheckpointRestoresIntoProduction)
         prod.loadState(r);
         r.endSection();
     }
-    std::remove(path.c_str());
+    ckptRemove(path);
 
     std::vector<Addr> prod_out, ref_out;
     for (std::size_t i = 6'000; i < stream.size(); ++i) {

@@ -268,6 +268,7 @@ TEST(TimedPort, CheckpointRoundTripPaddedPacket)
     EXPECT_EQ(s.pops, 3u);
     EXPECT_DOUBLE_EQ(s.qlat_max, 87.0);
     EXPECT_NEAR(s.qlat_avg, (3.0 + 3.0 + 87.0) / 3.0, 1e-9);
+    ckptRemove(path);
 }
 
 TEST(TimedPort, CheckpointRoundTripEmptyPort)
@@ -292,6 +293,7 @@ TEST(TimedPort, CheckpointRoundTripEmptyPort)
     b.loadState(r);
     r.endSection();
     EXPECT_TRUE(b.empty());
+    ckptRemove(path);
 }
 
 } // namespace

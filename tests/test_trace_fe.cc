@@ -211,7 +211,7 @@ TEST(TraceCheckpoint, ShardedReplayMatchesUninterrupted)
     expectSameRow(loader.run(), r_whole);
     expectSameMachine(loader, whole);
     std::remove(trace_path.c_str());
-    std::remove(ckpt_path.c_str());
+    ckptRemove(ckpt_path);
 }
 
 TEST(TraceCheckpointDeathTest, ReRecordedTraceDiesByFingerprint)
@@ -237,7 +237,7 @@ TEST(TraceCheckpointDeathTest, ReRecordedTraceDiesByFingerprint)
     EXPECT_EXIT(runSim(load), ::testing::ExitedWithCode(1),
                 "config fingerprint");
     std::remove(trace_path.c_str());
-    std::remove(ckpt_path.c_str());
+    ckptRemove(ckpt_path);
 }
 
 // -------------------------------------------------- flag incompatibility
