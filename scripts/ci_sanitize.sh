@@ -20,8 +20,13 @@
 # oracle and the memory hierarchy's plane and slot-array loaders run
 # through a --gtest_filter, as do the core scheduler suites: the wait
 # lists and the ready-bit ring are slot and index arithmetic the
-# sanitizers check. The rest of that binary is long simulation runs the
-# plain build covers.
+# sanitizers check. So do the simulated-memory suites (SimMemory*: the
+# page table, copy-on-write and the address-space cap) and the
+# restore-sharing suite (SharedRestore.*): a restored image's pages
+# point into a checkpoint blob that only the memory's pin keeps alive,
+# so a page that outlives its blob is a use-after-free only ASan shows.
+# The rest of that binary is long simulation runs the plain build
+# covers.
 #
 # Usage: scripts/ci_sanitize.sh [build-dir]   (default: build-sanitize)
 set -eu
@@ -38,4 +43,5 @@ SUITES='Checkpoint*:MachineDigest.*:MemoryCheckpoint*:Cache.*:Dram.*'
 SUITES="$SUITES:HierarchyTest.*"
 SUITES="$SUITES:Geometries/CacheProperty.*:LayoutEquiv.*"
 SUITES="$SUITES:Core.*:CoreSlab.*:FastForward.*:CoreParamProperty.*"
+SUITES="$SUITES:SimMemory*:SharedRestore.*"
 "$BUILD_DIR/tests/pfm_tests" --gtest_filter="$SUITES"

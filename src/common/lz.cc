@@ -1,5 +1,6 @@
 #include "common/lz.h"
 
+#include <algorithm>
 #include <cstring>
 
 namespace pfm {
@@ -57,14 +58,14 @@ putSequence(std::vector<std::uint8_t>& out, const std::uint8_t* lit,
 
 } // namespace
 
-void
+bool
 compress(const std::uint8_t* src, std::size_t n,
-         std::vector<std::uint8_t>& out)
+         std::vector<std::uint8_t>& out, std::size_t max_out)
 {
     out.clear();
     if (n == 0)
-        return;
-    out.reserve(n / 2 + 16);
+        return true;
+    out.reserve(std::min(n / 2, max_out) + 16);
 
     // Single-probe positional hash (pos + 1 so 0 means empty).
     std::vector<std::uint32_t> table(kHashSize, 0);
@@ -76,6 +77,9 @@ compress(const std::uint8_t* src, std::size_t n,
     const std::size_t match_limit = n >= kMinMatch ? n - kMinMatch + 1 : 0;
 
     while (pos < match_limit) {
+        // Emitted bytes plus the pending literals bound the output below.
+        if (out.size() + (pos - lit_start) > max_out)
+            return false;
         std::uint32_t h = hash4(src + pos);
         std::size_t cand = table[h];
         table[h] = static_cast<std::uint32_t>(pos + 1);
@@ -106,6 +110,7 @@ compress(const std::uint8_t* src, std::size_t n,
 
     // Trailing literals (possibly the whole input).
     putSequence(out, src + lit_start, n - lit_start, 0, 0);
+    return out.size() <= max_out;
 }
 
 bool

@@ -55,11 +55,14 @@ maxRawLen(std::uint64_t stored_len) noexcept
 
 /**
  * Compress @p n bytes at @p src into @p out (replacing its contents).
- * Never fails; incompressible input degenerates to literal runs with
- * ~0.4% overhead. out.size() is the exact compressed size.
+ * Incompressible input degenerates to literal runs with ~0.4% overhead.
+ * Returns true with out.size() the exact compressed size, or false —
+ * stopping early, @p out then holding a truncated stream — once the
+ * output passes @p max_out bytes.
  */
-void compress(const std::uint8_t* src, std::size_t n,
-              std::vector<std::uint8_t>& out);
+bool compress(const std::uint8_t* src, std::size_t n,
+              std::vector<std::uint8_t>& out,
+              std::size_t max_out = SIZE_MAX);
 
 /**
  * Decompress @p n bytes at @p src into exactly @p dst_len bytes at

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstring>
+#include <string>
 #include <vector>
 
 #include "sim/checkpoint.h"
@@ -22,19 +23,18 @@ SimMemory::alloc(Addr bytes, Addr align)
 void
 SimMemory::readBytes(Addr addr, void* out, unsigned n) const
 {
-    // Page-chunked: one hash lookup + memcpy per touched page instead of
-    // per byte. The scalar loads/stores of the functional engine span at
-    // most two pages; workload setup streams megabytes through here.
+    // Page-chunked: one table load + memcpy per touched page. The scalar
+    // loads of the functional engine take the inline path unless they
+    // straddle two pages; workload setup streams megabytes through here.
     auto* dst = static_cast<std::uint8_t*>(out);
     while (n > 0) {
-        const Addr off = addr & (kPageBytes - 1);
+        const Addr off = pageOffset(addr);
         const unsigned chunk =
             static_cast<unsigned>(std::min<Addr>(kPageBytes - off, n));
-        auto it = pages_.find(addr >> kPageShift);
-        if (it == pages_.end())
-            std::memset(dst, 0, chunk);
+        if (const std::uint8_t* p = mapped(addr >> kPageShift))
+            std::memcpy(dst, p + off, chunk);
         else
-            std::memcpy(dst, it->second->data() + off, chunk);
+            std::memset(dst, 0, chunk);
         dst += chunk;
         addr += chunk;
         n -= chunk;
@@ -46,67 +46,64 @@ SimMemory::writeBytes(Addr addr, const void* in, unsigned n)
 {
     const auto* src = static_cast<const std::uint8_t*>(in);
     while (n > 0) {
-        const Addr off = addr & (kPageBytes - 1);
-        const unsigned chunk =
-            static_cast<unsigned>(std::min<Addr>(kPageBytes - off, n));
-        std::memcpy(pageFor(addr >> kPageShift).data() + off, src, chunk);
+        const unsigned chunk = static_cast<unsigned>(
+            std::min<Addr>(kPageBytes - pageOffset(addr), n));
+        std::memcpy(writable(addr), src, chunk);
         src += chunk;
         addr += chunk;
         n -= chunk;
     }
 }
 
-SimMemory::PageData&
-SimMemory::pageFor(Addr page_index)
+std::uint8_t*
+SimMemory::privatize(Addr addr)
 {
-    auto& page = pages_[page_index];
-    if (!page)
-        page = std::make_unique<PageData>(kPageBytes, 0);
-    return *page;
-}
-
-std::uint8_t
-SimMemory::readByte(Addr addr) const
-{
-    auto it = pages_.find(addr >> kPageShift);
-    if (it == pages_.end())
-        return 0;
-    return (*it->second)[addr & (kPageBytes - 1)];
-}
-
-void
-SimMemory::writeByte(Addr addr, std::uint8_t v)
-{
-    pageFor(addr >> kPageShift)[addr & (kPageBytes - 1)] = v;
+    const Addr pi = addr >> kPageShift;
+    if (pi >= kMaxPages)
+        pfm_fatal("store to 0x%llx beyond the %llu GiB simulated address "
+                  "space",
+                  static_cast<unsigned long long>(addr),
+                  static_cast<unsigned long long>(kAddrSpaceBytes >> 30));
+    if (pi >= map_.size()) {
+        map_.resize(pi + 1, nullptr);
+        own_.resize(pi + 1);
+    }
+    auto page = std::make_unique_for_overwrite<std::uint8_t[]>(kPageBytes);
+    if (map_[pi])
+        std::memcpy(page.get(), map_[pi], kPageBytes);
+    else
+        std::memset(page.get(), 0, kPageBytes);
+    map_[pi] = page.get();
+    own_[pi] = std::move(page);
+    return own_[pi].get() + pageOffset(addr);
 }
 
 std::vector<Addr>
 SimMemory::pageIndices() const
 {
     std::vector<Addr> idx;
-    idx.reserve(pages_.size());
-    for (const auto& [addr, data] : pages_)
-        idx.push_back(addr);
-    std::sort(idx.begin(), idx.end());
+    for (Addr pi = 0; pi < map_.size(); ++pi)
+        if (map_[pi])
+            idx.push_back(pi);
     return idx;
 }
 
 const std::uint8_t*
 SimMemory::pageBytes(Addr page_index) const
 {
-    auto it = pages_.find(page_index);
-    pfm_assert(it != pages_.end(), "pageBytes() of an unmapped page");
-    return it->second->data();
+    const std::uint8_t* p = mapped(page_index);
+    pfm_assert(p, "pageBytes() of an unmapped page");
+    return p;
 }
 
 void
 SimMemory::saveState(CkptWriter& w) const
 {
-    std::vector<Addr> page_addrs = pageIndices();
-    w.put<std::uint64_t>(page_addrs.size());
-    for (Addr a : page_addrs) {
-        w.put(a);
-        w.putBytes(pages_.at(a)->data(), kPageBytes);
+    const std::vector<Addr> pages = pageIndices();
+    w.put<std::uint64_t>(pages.size());
+    for (Addr pi : pages) {
+        w.put(pi);
+        w.putBytes(map_[pi], kPageBytes);
     }
     w.put(brk_);
 }
@@ -114,27 +111,27 @@ SimMemory::saveState(CkptWriter& w) const
 void
 SimMemory::loadState(CkptReader& r)
 {
-    // The restoring simulator just constructed this same workload, so
-    // nearly every checkpointed page already has a live allocation —
-    // overwrite in place rather than freeing and reallocating the whole
-    // image (tens of MB of churn per restore, multiplied by concurrent
-    // sweep legs).
-    std::uint64_t n = r.get<std::uint64_t>();
-    std::unordered_map<Addr, std::unique_ptr<PageData>> fresh;
-    fresh.reserve(static_cast<size_t>(n));
+    // No page is copied: every slot points into the section blob, which
+    // stays pinned, so N legs restoring one warm image share its bytes
+    // and a leg copies only the pages it stores to.
+    const std::uint64_t n = r.get<std::uint64_t>();
+    std::vector<const std::uint8_t*> map;
     for (std::uint64_t i = 0; i < n; ++i) {
-        Addr a = r.get<Addr>();
-        auto it = pages_.find(a);
-        std::unique_ptr<PageData> page;
-        if (it != pages_.end())
-            page = std::move(it->second);
-        else
-            page = std::make_unique<PageData>(kPageBytes);
-        r.getBytes(page->data(), kPageBytes);
-        fresh[a] = std::move(page);
+        const Addr pi = r.get<Addr>();
+        if (pi >= kMaxPages)
+            r.fail("memory page index " + std::to_string(pi) +
+                   " beyond the simulated address space");
+        if (pi < map.size())
+            r.fail("memory page index " + std::to_string(pi) +
+                   (map[pi] ? " repeated" : " out of order"));
+        map.resize(pi + 1, nullptr);
+        map[pi] = r.view(kPageBytes);
     }
-    pages_ = std::move(fresh);
     r.get(brk_);
+    map_ = std::move(map);
+    own_.clear();
+    own_.resize(map_.size());
+    pin_ = r.pin();
 }
 
 } // namespace pfm

@@ -196,17 +196,18 @@ CkptWriter::finish()
         meta.raw_len = sec.len;
         meta.raw_crc = ckptCrc32(raw, sec.len);
         meta.stored_len = sec.len;
-        // The compressed form is stored only when it actually wins; the
-        // flags byte keeps the blob self-describing either way.
+        // The compressed form is stored only when it at least halves the
+        // payload: a smaller win costs every cold restore an LZ decode
+        // for little disk. The flags byte keeps the blob self-describing
+        // either way.
         const std::uint8_t* stored = raw;
-        lz::compress(raw, sec.len, packed);
-        if (packed.size() < sec.len) {
+        if (lz::compress(raw, sec.len, packed, sec.len / 2)) {
             stored = packed.data();
             meta.stored_len = packed.size();
             meta.flags = kCkptBlobCompressed;
         }
         const std::uint64_t hash = ckptHash64(raw, sec.len);
-        ckptStorePut(store_dir, hash, meta, stored, path_, sec.name);
+        meta = ckptStorePut(store_dir, hash, meta, stored, path_, sec.name);
         appendStr(file, sec.name);
         appendVal(file, hash);
         appendVal(file, meta.raw_len);
@@ -348,12 +349,27 @@ CkptReader::endSection()
 void
 CkptReader::getBytes(void* p, std::size_t n)
 {
+    std::memcpy(p, view(n), n);
+}
+
+const std::uint8_t*
+CkptReader::view(std::size_t n)
+{
     if (!in_section_)
         fail("checkpoint read outside a section");
     if (n > send_ - spos_)
         fail("payload exhausted");
-    std::memcpy(p, blob_->data() + spos_, n);
+    const std::uint8_t* p = blob_->data() + spos_;
     spos_ += n;
+    return p;
+}
+
+std::shared_ptr<const std::vector<std::uint8_t>>
+CkptReader::pin() const
+{
+    if (!in_section_)
+        fail("checkpoint pin outside a section");
+    return blob_;
 }
 
 void
@@ -366,12 +382,8 @@ CkptReader::checkCount(std::uint64_t n, std::size_t elem_size)
 std::string
 CkptReader::getString()
 {
-    std::uint32_t len = get<std::uint32_t>();
-    if (len > send_ - spos_)
-        fail("payload exhausted");
-    std::string s(reinterpret_cast<const char*>(blob_->data() + spos_), len);
-    spos_ += len;
-    return s;
+    const std::uint32_t len = get<std::uint32_t>();
+    return std::string(reinterpret_cast<const char*>(view(len)), len);
 }
 
 } // namespace pfm

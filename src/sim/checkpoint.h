@@ -15,12 +15,13 @@
  * Sections come in a fixed order; the reader names the section it
  * expects, so an order mismatch is caught by name. Each entry names its
  * blob by the FNV-1a hash of the raw payload; flags bit 0 marks the blob
- * as lz-compressed (common/lz.h), which the writer does whenever that
- * makes it smaller. Any other flag bit is corruption. The store subdir is
- * relative to the manifest's directory; empty means the file's own store,
- * `<manifest path>.blobs` (ckptStoreDir), so a manifest's bytes depend
- * only on the saved state, never on its file name. Saves that name one
- * shared subdir (SimOptions::ckpt_store) dedup their common sections.
+ * as lz-compressed (common/lz.h), which the writer does only when that
+ * at least halves it. Any other flag bit is corruption. The store subdir
+ * is relative to the manifest's directory; empty means the file's own
+ * store, `<manifest path>.blobs` (ckptStoreDir), so a manifest's bytes
+ * depend only on the saved state, never on its file name. Saves that
+ * name one shared subdir (SimOptions::ckpt_store) dedup their common
+ * sections.
  *
  * Strings are u32 length + bytes. Every multi-byte value is host-endian;
  * checkpoints are an intra-machine hand-off between sweep legs, not an
@@ -241,6 +242,16 @@ class CkptReader
     void endSection();
 
     void getBytes(void* p, std::size_t n);
+
+    /**
+     * The next @p n payload bytes in place, without a copy; fatal when
+     * fewer remain. Valid while the open section's blob lives: hold
+     * pin() to keep it past endSection().
+     */
+    const std::uint8_t* view(std::size_t n);
+
+    /** The open section's decoded blob, shared (see ckptBlobLoad). */
+    std::shared_ptr<const std::vector<std::uint8_t>> pin() const;
 
     template <typename T>
     void

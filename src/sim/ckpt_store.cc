@@ -6,6 +6,7 @@
 #include <cstring>
 #include <deque>
 #include <iterator>
+#include <memory>
 #include <mutex>
 #include <unordered_map>
 
@@ -20,6 +21,10 @@
 namespace pfm {
 
 namespace {
+
+struct FileCloser {
+    void operator()(std::FILE* f) const { std::fclose(f); }
+};
 
 /** Diagnostic in the same shape as CkptReader::fail(). */
 [[noreturn]] void
@@ -167,7 +172,7 @@ ckptBlobName(std::uint64_t hash)
     return buf;
 }
 
-void
+CkptBlobMeta
 ckptStorePut(const std::string& store_dir, std::uint64_t hash,
              const CkptBlobMeta& meta, const std::uint8_t* stored,
              const std::string& ckpt_path, const std::string& section)
@@ -178,19 +183,26 @@ ckptStorePut(const std::string& store_dir, std::uint64_t hash,
 
     const std::string path = store_dir + "/" + ckptBlobName(hash);
 
-    // Dedup fast path: an existing blob with a matching header is this
-    // exact content (same hash, length, CRC) — skip the write. A header
-    // that disagrees means a hash collision or corrupted store; aliasing
-    // it silently would hand a later restore the wrong section bytes.
+    // Dedup fast path: an existing blob with the same hash, raw length
+    // and raw CRC is this exact content — skip the write. It may be
+    // stored in the other form (a store written under an older
+    // compression rule), so the caller records its metadata, not ours.
+    // A header that disagrees means a hash collision or corrupted store;
+    // aliasing it silently would hand a later restore the wrong section
+    // bytes.
     std::uint8_t hdr[kCkptBlobHeaderBytes];
-    std::FILE* f = std::fopen(path.c_str(), "rb");
-    if (f) {
-        std::size_t got = std::fread(hdr, 1, sizeof hdr, f);
-        std::fclose(f);
-        CkptBlobMeta found;
-        if (got == sizeof hdr && unpackBlobHeader(hdr, sizeof hdr, found) &&
-            found == meta)
-            return;
+    CkptBlobMeta found;
+    auto sameContent = [&](std::FILE* in) {
+        return std::fread(hdr, 1, sizeof hdr, in) == sizeof hdr &&
+               unpackBlobHeader(hdr, sizeof hdr, found) &&
+               found.raw_len == meta.raw_len &&
+               found.raw_crc == meta.raw_crc &&
+               (found.flags & ~kCkptBlobCompressed) == 0;
+    };
+    if (std::unique_ptr<std::FILE, FileCloser> in{
+            std::fopen(path.c_str(), "rb")}) {
+        if (sameContent(in.get()))
+            return found;
         storeFail(ckpt_path, section,
                   "blob '" + ckptBlobName(hash) +
                       "' already exists with different metadata (hash "
@@ -209,7 +221,7 @@ ckptStorePut(const std::string& store_dir, std::uint64_t hash,
         path + ".tmp." + std::to_string(static_cast<long>(::getpid())) +
         "." +
         std::to_string(publish_seq.fetch_add(1, std::memory_order_relaxed));
-    f = std::fopen(tmp.c_str(), "wb");
+    std::FILE* f = std::fopen(tmp.c_str(), "wb");
     if (!f)
         pfm_fatal("checkpoint '%s': cannot open blob temp '%s' for writing",
                   ckpt_path.c_str(), tmp.c_str());
@@ -228,19 +240,15 @@ ckptStorePut(const std::string& store_dir, std::uint64_t hash,
         std::remove(tmp.c_str());
         // A concurrent publisher may have raced us in a way the
         // filesystem would not absorb; the loss is benign iff the final
-        // blob now exists with exactly our metadata.
-        f = std::fopen(path.c_str(), "rb");
-        if (f) {
-            std::size_t got = std::fread(hdr, 1, sizeof hdr, f);
-            std::fclose(f);
-            CkptBlobMeta found;
-            if (got == sizeof hdr &&
-                unpackBlobHeader(hdr, sizeof hdr, found) && found == meta)
-                return;
-        }
+        // blob now holds the same content.
+        std::unique_ptr<std::FILE, FileCloser> in{
+            std::fopen(path.c_str(), "rb")};
+        if (in && sameContent(in.get()))
+            return found;
         pfm_fatal("checkpoint '%s': cannot rename blob '%s' into place",
                   ckpt_path.c_str(), path.c_str());
     }
+    return meta;
 }
 
 std::shared_ptr<const std::vector<std::uint8_t>>
@@ -257,27 +265,44 @@ ckptBlobLoad(const std::string& blob_path, std::uint64_t hash,
         return cached.raw;
     }
 
-    std::vector<std::uint8_t> file;
-    if (!ckptReadFile(blob_path, file))
+    // The payload is read straight into its destination: a raw blob
+    // into the shared buffer itself, a compressed one into a scratch
+    // buffer that is decoded into it.
+    std::unique_ptr<std::FILE, FileCloser> f(
+        std::fopen(blob_path.c_str(), "rb"));
+    if (!f)
         storeFail(ckpt_path, section,
                   "missing blob '" + blob_path + "' referenced by manifest");
+    std::uint8_t hdr[kCkptBlobHeaderBytes];
     CkptBlobMeta found;
-    if (!unpackBlobHeader(file.data(), file.size(), found))
+    if (std::fread(hdr, 1, sizeof hdr, f.get()) != sizeof hdr ||
+        !unpackBlobHeader(hdr, sizeof hdr, found))
         storeFail(ckpt_path, section,
                   "blob '" + blob_path + "' is not a PFM blob");
     if (!(found == meta))
         storeFail(ckpt_path, section,
                   "blob '" + blob_path +
                       "' metadata disagrees with manifest");
-    if (file.size() != kCkptBlobHeaderBytes + meta.stored_len)
+    // The file length bounds stored_len before anything is allocated.
+    long size = -1;
+    if (std::fseek(f.get(), 0, SEEK_END) == 0)
+        size = std::ftell(f.get());
+    if (size < 0 ||
+        static_cast<std::uint64_t>(size) !=
+            kCkptBlobHeaderBytes + meta.stored_len ||
+        std::fseek(f.get(), kCkptBlobHeaderBytes, SEEK_SET) != 0)
         storeFail(ckpt_path, section,
                   "truncated blob '" + blob_path + "' (" +
-                      std::to_string(file.size()) + " bytes, " +
+                      std::to_string(size) + " bytes, " +
                       std::to_string(kCkptBlobHeaderBytes +
                                      meta.stored_len) +
                       " expected)");
+    const auto readAll = [&](std::uint8_t* dst, std::size_t n) {
+        if (n && std::fread(dst, 1, n, f.get()) != n)
+            storeFail(ckpt_path, section,
+                      "cannot read blob '" + blob_path + "'");
+    };
 
-    const std::uint8_t* stored = file.data() + kCkptBlobHeaderBytes;
     auto raw = std::make_shared<std::vector<std::uint8_t>>();
     if (meta.flags & kCkptBlobCompressed) {
         // Bound the declared raw length before trusting it with a
@@ -287,10 +312,12 @@ ckptBlobLoad(const std::string& blob_path, std::uint64_t hash,
                       "implausible raw length " +
                           std::to_string(meta.raw_len) + " in blob '" +
                           blob_path + "'");
+        std::vector<std::uint8_t> stored(
+            static_cast<std::size_t>(meta.stored_len));
+        readAll(stored.data(), stored.size());
         raw->resize(static_cast<std::size_t>(meta.raw_len));
-        if (!lz::decompress(stored,
-                            static_cast<std::size_t>(meta.stored_len),
-                            raw->data(), raw->size()))
+        if (!lz::decompress(stored.data(), stored.size(), raw->data(),
+                            raw->size()))
             storeFail(ckpt_path, section,
                       "corrupt compressed blob '" + blob_path + "'");
     } else {
@@ -298,8 +325,8 @@ ckptBlobLoad(const std::string& blob_path, std::uint64_t hash,
             storeFail(ckpt_path, section,
                       "blob '" + blob_path +
                           "' raw/stored length mismatch");
-        raw->assign(stored,
-                    stored + static_cast<std::size_t>(meta.stored_len));
+        raw->resize(static_cast<std::size_t>(meta.raw_len));
+        readAll(raw->data(), raw->size());
     }
     if (ckptCrc32(raw->data(), raw->size()) != meta.raw_crc)
         storeFail(ckpt_path, section,

@@ -89,12 +89,15 @@ constexpr std::size_t kCkptBlobHeaderBytes =
 
 /**
  * Publish @p stored (matching @p meta) as @p hash into @p store_dir,
- * creating the directory on first use. If the blob already exists its
- * header is verified against @p meta: a match is the dedup fast path (no
- * write), a mismatch is fatal — hash collision or on-disk corruption.
- * @p ckpt_path / @p section name the owning checkpoint in diagnostics.
+ * creating the directory on first use, and return the metadata of the
+ * blob the store holds under @p hash; the manifest must record that. If
+ * the blob already exists its header is verified against @p meta: the
+ * same raw length and CRC is the dedup fast path (no write; the existing
+ * blob may be stored in the other form), anything else is fatal — hash
+ * collision or on-disk corruption. @p ckpt_path / @p section name the
+ * owning checkpoint in diagnostics.
  */
-void ckptStorePut(const std::string& store_dir, std::uint64_t hash,
+CkptBlobMeta ckptStorePut(const std::string& store_dir, std::uint64_t hash,
                   const CkptBlobMeta& meta, const std::uint8_t* stored,
                   const std::string& ckpt_path, const std::string& section);
 

@@ -28,12 +28,15 @@
 #include <functional>
 #include <sstream>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include <sys/stat.h>
 #include <unistd.h>
 
 #include "identity.h"
+#include "isa/instruction.h"
+#include "mem_sys/sim_memory.h"
 #include "sim/checkpoint.h"
 #include "sim/options.h"
 #include "sim/simulator.h"
@@ -323,6 +326,102 @@ TEST(Checkpoint, SweepRunnerShardedMatchesSerialReference)
     // The warmup leg retired exactly the warmup budget and measured
     // nothing.
     EXPECT_EQ(0.0, runner.sim(w).ipc);
+}
+
+// ---------------------------------------------------------- shared restore
+
+/**
+ * The daemon's leg shape on its largest image: a libquantum leg with a
+ * deferred prefetcher restored from a bare warmup at @p ckpt (none:
+ * the uninterrupted reference). libquantum stores into its register
+ * array, so every leg takes private copies of pages it shares.
+ */
+SimOptions
+sharedLeg(const std::string& ckpt)
+{
+    SimOptions o;
+    o.workload = "libquantum";
+    o.component = "auto";
+    o.defer_component = true;
+    o.warmup_instructions = 6000;
+    o.max_instructions = 24'000;
+    applyTokens(o, "clk4_w4 delay0 queue32 portALL");
+    o.checkpoint_load = ckpt;
+    return o;
+}
+
+std::string
+saveSharedWarmup(const std::string& name)
+{
+    const std::string path = tmpPath(name);
+    SimOptions warm = sharedLeg("");
+    warm.component = "none";
+    warm.defer_component = false;
+    warm.max_instructions = 0;
+    warm.checkpoint_save = path;
+    Simulator warmer(warm);
+    warmer.run();
+    return path;
+}
+
+TEST(SharedRestore, SiblingRunLeavesARestoredImageAlone)
+{
+    // Two simulators restored from one checkpoint share its memory image
+    // (the decoded engine blob). Running one to its budget must leave the
+    // other exactly as restored, and its own run must then match an
+    // uninterrupted one.
+    const std::string path = saveSharedWarmup("shared_sibling.ckpt");
+    Simulator ref(sharedLeg(""));
+    const SimResult r_ref = ref.run();
+
+    Simulator idle(sharedLeg(path));
+    idle.loadCheckpoint(path);
+    const MachineDigest restored = idle.machineDigest();
+
+    Simulator busy(sharedLeg(path));
+    const SimResult r_busy = busy.run();
+    expectSameRow(r_ref, r_busy);
+    expectSameMachine(ref, busy);
+
+    expectSameMachine(restored, idle.machineDigest());
+    const SimResult r_idle = idle.run();
+    expectSameRow(r_ref, r_idle);
+    expectSameMachine(ref, idle);
+    ckptRemove(path);
+}
+
+TEST(SharedRestore, ConcurrentLegsOnTwoThreadsMatchUninterrupted)
+{
+    // The daemon's two workers: each builds and runs a leg restored from
+    // one warm checkpoint at the same time. A third simulator restored
+    // first keeps the blob decoded, so both legs map its pages, and it
+    // must still read as restored when they are done.
+    const std::string path = saveSharedWarmup("shared_threads.ckpt");
+    Simulator ref(sharedLeg(""));
+    const SimResult r_ref = ref.run();
+
+    Simulator keeper(sharedLeg(path));
+    keeper.loadCheckpoint(path);
+    const MachineDigest restored = keeper.machineDigest();
+
+    std::unique_ptr<Simulator> legs[2];
+    SimResult results[2];
+    std::vector<std::thread> workers;
+    for (int i = 0; i < 2; ++i)
+        workers.emplace_back([&, i] {
+            legs[i] = std::make_unique<Simulator>(sharedLeg(path));
+            results[i] = legs[i]->run();
+        });
+    for (std::thread& t : workers)
+        t.join();
+
+    for (int i = 0; i < 2; ++i) {
+        SCOPED_TRACE(i);
+        expectSameRow(r_ref, results[i]);
+        expectSameMachine(ref, *legs[i]);
+    }
+    expectSameMachine(restored, keeper.machineDigest());
+    ckptRemove(path);
 }
 
 // ------------------------------------------------------------------ oracle
@@ -748,6 +847,76 @@ TEST(CheckpointDeathTest, IqListDisagreeingWithSlabIsFatal)
                 "IQ list lacks waiting seq " + std::to_string(dropped) +
                     " \\(section 'core'\\)");
     ckptRemove(path);
+}
+
+TEST(CheckpointDeathTest, EnginePageIndicesOutOfOrderRepeatedOrBeyondCap)
+{
+    // The engine payload holds the registers, pc, seq and halted flag,
+    // then the memory image: a page count and one {index u64, 4 KiB}
+    // entry per page in strictly ascending index order. Each case edits
+    // one index and keeps every CRC valid, so only the memory loader can
+    // catch it, naming the index and the section.
+    const std::size_t count_at = kNumArchRegs * sizeof(RegVal) + 8 + 8 + 1;
+    const std::size_t entry_bytes = 8 + SimMemory::kPageBytes;
+    auto indexAt = [&](std::vector<unsigned char>& bytes, std::size_t i) {
+        return &bytes[count_at + 8 + i * entry_bytes];
+    };
+    struct Case {
+        const char* name;
+        std::function<std::string(std::vector<unsigned char>&)> mutate;
+    };
+    const Case cases[] = {
+        {"out of order",
+         [&](std::vector<unsigned char>& bytes) {
+             std::uint64_t first;
+             std::memcpy(&first, indexAt(bytes, 0), 8);
+             std::swap_ranges(indexAt(bytes, 0), indexAt(bytes, 0) + 8,
+                              indexAt(bytes, 1));
+             return std::to_string(first) + " out of order";
+         }},
+        {"repeated",
+         [&](std::vector<unsigned char>& bytes) {
+             std::uint64_t first;
+             std::memcpy(&first, indexAt(bytes, 0), 8);
+             std::memcpy(indexAt(bytes, 1), &first, 8);
+             return std::to_string(first) + " repeated";
+         }},
+        {"beyond the cap",
+         [&](std::vector<unsigned char>& bytes) {
+             std::uint64_t n;
+             std::memcpy(&n, &bytes[count_at], 8);
+             const std::uint64_t cap = SimMemory::kMaxPages;
+             std::memcpy(indexAt(bytes, n - 1), &cap, 8);
+             return std::to_string(cap) +
+                    " beyond the simulated address space";
+         }},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string path = saveSmallCheckpoint("ckpt_pages.ckpt");
+        std::string message;
+        rewriteSections(path, {"engine", "memory", "core"},
+                        [&](const CkptHeader&, const std::string& name,
+                            std::vector<unsigned char>& bytes) {
+            if (name != "engine")
+                return;
+            std::uint64_t n;
+            std::memcpy(&n, &bytes[count_at], 8);
+            ASSERT_GE(n, 2u);
+            ASSERT_GT(bytes.size(), count_at + 8 + n * entry_bytes + 8);
+            std::uint64_t first;
+            std::uint64_t second;
+            std::memcpy(&first, indexAt(bytes, 0), 8);
+            std::memcpy(&second, indexAt(bytes, 1), 8);
+            ASSERT_LT(first, second); // the layout above is right
+            message = c.mutate(bytes);
+        });
+        ASSERT_FALSE(message.empty());
+        EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
+                    "memory page index " + message +
+                        " \\(section 'engine'\\)");
+        ckptRemove(path);
+    }
 }
 
 TEST(CheckpointDeathTest, WrongVersionTagIsFatal)

@@ -659,5 +659,46 @@ TEST(CkptStoreDeathTest, HashCollisionOnPublishIsFatal)
     std::remove(tmpPath("ckpt_collide2.ckpt").c_str());
 }
 
+TEST(CkptStore, SaveReusesTheSamePayloadStoredInTheOtherForm)
+{
+    // A store written under another compression rule may hold a payload
+    // in the other form: same hash, raw length and CRC, other flags.
+    // Saving that content again must reuse the blob as it is, record its
+    // form in the new manifest, and restore from it.
+    auto saved = saveStoreCheckpoint("ckpt_otherform");
+    const std::string blob = biggestBlob(saved.second);
+    std::vector<std::uint8_t> bytes = readFile(blob);
+    ASSERT_GT(bytes.size(), kCkptBlobHeaderBytes);
+    std::uint64_t raw_len;
+    std::uint64_t stored_len;
+    std::memcpy(&raw_len, &bytes[4], 8);
+    std::memcpy(&stored_len, &bytes[17], 8);
+    ASSERT_EQ(kCkptBlobCompressed, bytes[16]) << "expected an LZ blob";
+    std::vector<std::uint8_t> raw(raw_len);
+    ASSERT_TRUE(lz::decompress(&bytes[kCkptBlobHeaderBytes], stored_len,
+                               raw.data(), raw.size()));
+    bytes.resize(kCkptBlobHeaderBytes);
+    bytes[16] = 0;
+    std::memcpy(&bytes[17], &raw_len, 8);
+    bytes.insert(bytes.end(), raw.begin(), raw.end());
+    writeFile(blob, bytes);
+
+    const std::string again = tmpPath("ckpt_otherform2.ckpt");
+    SimOptions o = smallBareOptions();
+    o.checkpoint_save = again;
+    o.ckpt_store = "ckpt_otherform_blobs";
+    Simulator saver(o);
+    saver.run();
+    EXPECT_EQ(bytes, readFile(blob));
+    const CkptFileInfo info = inspectCkptFile(again);
+    auto it = std::find_if(info.blobs.begin(), info.blobs.end(),
+                           [&](const CkptBlobRef& b) { return b.path == blob; });
+    ASSERT_NE(info.blobs.end(), it);
+    EXPECT_EQ(raw_len, it->stored_len);
+    loadSmall(again);
+    cleanupStore(saved);
+    std::remove(again.c_str());
+}
+
 } // namespace
 } // namespace pfm

@@ -6,10 +6,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <map>
+#include <random>
+#include <string>
+#include <vector>
+
 #include "isa/assembler.h"
 #include "isa/functional_engine.h"
 #include "mem_sys/commit_log.h"
 #include "mem_sys/sim_memory.h"
+#include "sim/checkpoint.h"
 
 namespace pfm {
 namespace {
@@ -45,6 +52,234 @@ TEST(SimMemory, AllocRespectsAlignment)
     Addr b = m.alloc(10, 64);
     EXPECT_GE(b, a + 10);
     EXPECT_EQ(b % 64, 0u);
+}
+
+/**
+ * Byte-map reference for SimMemory: the mapped pages (every page a store
+ * has touched, or a restore mapped), their bytes and the brk, plus the
+ * engine-section image a save must produce from them.
+ */
+struct MemModel {
+    std::map<Addr, std::vector<std::uint8_t>> pages;
+    Addr brk = SimMemory{}.brk();
+
+    std::uint8_t
+    read(Addr a) const
+    {
+        auto it = pages.find(a >> SimMemory::kPageShift);
+        return it == pages.end()
+            ? 0
+            : it->second[a & (SimMemory::kPageBytes - 1)];
+    }
+
+    void
+    write(Addr a, std::uint8_t v)
+    {
+        auto& page = pages[a >> SimMemory::kPageShift];
+        page.resize(SimMemory::kPageBytes); // a new page starts zeroed
+        page[a & (SimMemory::kPageBytes - 1)] = v;
+    }
+
+    Addr
+    alloc(Addr bytes, Addr align)
+    {
+        brk = (brk + align - 1) & ~(align - 1);
+        const Addr a = brk;
+        brk += bytes;
+        return a;
+    }
+
+    /** SimMemory::saveState()'s payload for this model. */
+    std::vector<std::uint8_t>
+    image() const
+    {
+        std::vector<std::uint8_t> out;
+        auto put = [&out](const void* p, std::size_t n) {
+            const auto* b = static_cast<const std::uint8_t*>(p);
+            out.insert(out.end(), b, b + n);
+        };
+        const std::uint64_t n = pages.size();
+        put(&n, sizeof n);
+        for (const auto& [pi, bytes] : pages) {
+            put(&pi, sizeof pi);
+            put(bytes.data(), bytes.size());
+        }
+        put(&brk, sizeof brk);
+        return out;
+    }
+};
+
+CkptSectionDigest
+saveDigest(const SimMemory& m)
+{
+    CkptWriter w("");
+    w.setDigestOnly();
+    w.writeHeader(CkptHeader{});
+    w.beginSection("engine");
+    m.saveState(w);
+    w.endSection();
+    return w.digests().front();
+}
+
+/** Round trip: save @p from to @p path, then restore it into @p to. */
+void
+saveThenLoad(const SimMemory& from, SimMemory& to, const std::string& path)
+{
+    CkptWriter w(path);
+    w.writeHeader(CkptHeader{});
+    w.beginSection("engine");
+    from.saveState(w);
+    w.endSection();
+    w.finish();
+
+    CkptReader r(path);
+    r.readHeader();
+    r.beginSection("engine");
+    to.loadState(r);
+    r.endSection();
+}
+
+/** Every read path, the page list and the saved image agree with @p ref. */
+void
+expectMatchesModel(const SimMemory& m, const MemModel& ref)
+{
+    std::vector<Addr> want;
+    for (const auto& [pi, bytes] : ref.pages)
+        want.push_back(pi);
+    ASSERT_EQ(want, m.pageIndices());
+    EXPECT_EQ(ref.brk, m.brk());
+    for (const auto& [pi, bytes] : ref.pages) {
+        std::vector<std::uint8_t> got(SimMemory::kPageBytes);
+        m.readBytes(pi << SimMemory::kPageShift, got.data(),
+                    static_cast<unsigned>(got.size()));
+        ASSERT_EQ(bytes, got) << "page " << pi;
+    }
+    const std::vector<std::uint8_t> image = ref.image();
+    const CkptSectionDigest d = saveDigest(m);
+    EXPECT_EQ(image.size(), d.bytes);
+    EXPECT_EQ(ckptCrc32(image.data(), image.size()), d.crc);
+}
+
+TEST(SimMemory, MatchesByteMapModelAcrossSaveLoadRoundTrips)
+{
+    // Random reads, writes and allocs over a few pages around the data
+    // segment, most of them near page boundaries, interleaved with save
+    // -> load round trips into the same memory: after a load every page
+    // is shared with the checkpoint blob, so the next stores exercise
+    // copy-on-write. A second memory restored from the first round trip
+    // and never written must keep its image while the blobs of later
+    // round trips come and go: its pages live only as long as its pin.
+    std::mt19937_64 rng(20211018);
+    auto pick = [&rng](std::uint64_t n) { return rng() % n; };
+    const Addr base = SimMemory{}.brk() - SimMemory::kPageBytes;
+    auto addr = [&]() -> Addr {
+        const Addr page = base + pick(6) * SimMemory::kPageBytes;
+        return pick(2) ? page + pick(SimMemory::kPageBytes)
+                       : page - 8 + pick(16); // straddles or abuts
+    };
+    auto value = [&]() -> std::uint64_t {
+        return pick(4) == 0 ? 0 : rng(); // zero stores still map pages
+    };
+
+    SimMemory m;
+    MemModel ref;
+    SimMemory snapshot;
+    MemModel snapshot_ref;
+    constexpr int kRounds = 12;
+    for (int round = 0; round < kRounds; ++round) {
+        SCOPED_TRACE(round);
+        for (int op = 0; op < 300; ++op) {
+            const Addr a = addr();
+            const unsigned size = 1u << pick(4);
+            switch (pick(7)) {
+            case 0: {
+                const std::uint64_t v = value();
+                m.write<std::uint64_t>(a, v);
+                for (unsigned i = 0; i < 8; ++i)
+                    ref.write(a + i, static_cast<std::uint8_t>(v >> 8 * i));
+                break;
+            }
+            case 1: {
+                const std::uint64_t v = value();
+                m.writeInt(a, v, size);
+                for (unsigned i = 0; i < size; ++i)
+                    ref.write(a + i, static_cast<std::uint8_t>(v >> 8 * i));
+                break;
+            }
+            case 2: {
+                std::vector<std::uint8_t> buf(1 + pick(2 * 4096 + 500));
+                const std::uint8_t fill = static_cast<std::uint8_t>(value());
+                for (std::size_t i = 0; i < buf.size(); ++i)
+                    buf[i] = static_cast<std::uint8_t>(fill + i * (fill & 1));
+                m.writeBytes(a, buf.data(), static_cast<unsigned>(buf.size()));
+                for (std::size_t i = 0; i < buf.size(); ++i)
+                    ref.write(a + i, buf[i]);
+                break;
+            }
+            case 3: {
+                std::uint64_t want = 0;
+                for (unsigned i = 0; i < size; ++i)
+                    want |= std::uint64_t{ref.read(a + i)} << 8 * i;
+                ASSERT_EQ(want, m.readInt(a, size)) << std::hex << a;
+                std::uint64_t want8 = 0;
+                for (unsigned i = 0; i < 8; ++i)
+                    want8 |= std::uint64_t{ref.read(a + i)} << 8 * i;
+                ASSERT_EQ(want8, m.read<std::uint64_t>(a)) << std::hex << a;
+                break;
+            }
+            case 4: {
+                std::vector<std::uint8_t> got(1 + pick(2 * 4096 + 500));
+                m.readBytes(a, got.data(), static_cast<unsigned>(got.size()));
+                for (std::size_t i = 0; i < got.size(); ++i)
+                    ASSERT_EQ(ref.read(a + i), got[i]) << std::hex << a + i;
+                break;
+            }
+            case 5: {
+                const Addr bytes = pick(3000);
+                const Addr align = Addr{1} << pick(8);
+                ASSERT_EQ(ref.alloc(bytes, align), m.alloc(bytes, align));
+                break;
+            }
+            default: {
+                const std::uint8_t v = static_cast<std::uint8_t>(value());
+                m.write<std::uint8_t>(a, v);
+                ref.write(a, v);
+                break;
+            }
+            }
+        }
+        const std::string path = ::testing::TempDir() + "simmem_model_" +
+                                 std::to_string(round) + ".ckpt";
+        saveThenLoad(m, m, path);
+        expectMatchesModel(m, ref);
+        if (round == 0) {
+            saveThenLoad(m, snapshot, path);
+            snapshot_ref = ref;
+        }
+        ckptRemove(path);
+    }
+    expectMatchesModel(snapshot, snapshot_ref);
+}
+
+TEST(SimMemory, ReadsBeyondTheAddressSpaceAreZero)
+{
+    SimMemory m;
+    EXPECT_EQ(0u, m.read<std::uint64_t>(SimMemory::kAddrSpaceBytes + 64));
+    EXPECT_EQ(0u, m.readInt(~Addr{0} - 3, 4));
+    m.write<std::uint64_t>(SimMemory::kAddrSpaceBytes - 8, 7);
+    EXPECT_EQ(7u, m.read<std::uint64_t>(SimMemory::kAddrSpaceBytes - 8));
+}
+
+TEST(SimMemoryDeathTest, StoreBeyondTheAddressSpaceIsFatal)
+{
+    SimMemory m;
+    EXPECT_EXIT(m.write<std::uint32_t>(SimMemory::kAddrSpaceBytes + 4, 1),
+                ::testing::ExitedWithCode(1),
+                "store to 0x100000004 beyond the 4 GiB simulated address "
+                "space");
+    // The second half of a page-straddling store names its own address.
+    EXPECT_EXIT(m.write<std::uint64_t>(SimMemory::kAddrSpaceBytes - 4, 1),
+                ::testing::ExitedWithCode(1), "store to 0x100000000 beyond");
 }
 
 TEST(Assembler, ParsesAluAndLoads)
