@@ -25,6 +25,9 @@
 # restore-sharing suite (SharedRestore.*): a restored image's pages
 # point into a checkpoint blob that only the memory's pin keeps alive,
 # so a page that outlives its blob is a use-after-free only ASan shows.
+# The workload-descriptor suites (WorkloadDescriptor*) join because a
+# restore now decodes the program it runs from the checkpoint: opcode,
+# register, branch-target and label indices read from untrusted bytes.
 # The rest of that binary is long simulation runs the plain build
 # covers.
 #
@@ -43,5 +46,5 @@ SUITES='Checkpoint*:MachineDigest.*:MemoryCheckpoint*:Cache.*:Dram.*'
 SUITES="$SUITES:HierarchyTest.*"
 SUITES="$SUITES:Geometries/CacheProperty.*:LayoutEquiv.*"
 SUITES="$SUITES:Core.*:CoreSlab.*:FastForward.*:CoreParamProperty.*"
-SUITES="$SUITES:SimMemory*:SharedRestore.*"
+SUITES="$SUITES:SimMemory*:SharedRestore.*:WorkloadDescriptor*"
 "$BUILD_DIR/tests/pfm_tests" --gtest_filter="$SUITES"

@@ -55,8 +55,9 @@ namespace pfm {
  * Bump on any layout change; readers reject every other version.
  * v3: per-section compression; adds the content-addressed manifest.
  * v4: caches save flat way planes and sorted MSHR/DRAM slot arrays.
+ * v5: a leading "workload" section carries the workload descriptor.
  */
-constexpr std::uint32_t kCkptFormatVersion = 4;
+constexpr std::uint32_t kCkptFormatVersion = 5;
 
 /**
  * CRC-32 (IEEE 802.3, reflected poly 0xEDB88320) of @p n bytes. Pass the

@@ -1,5 +1,6 @@
 #include "sim/simulator.h"
 
+#include <cstring>
 #include <iostream>
 
 #include "common/log.h"
@@ -15,6 +16,7 @@
 #include "components/pmp_prefetcher.h"
 #include "components/slipstream.h"
 #include "pfm/prefetch_stats.h"
+#include "trace_fe/trace_format.h"
 #include "workloads/registry.h"
 
 namespace pfm {
@@ -157,7 +159,21 @@ Simulator::Simulator(const SimOptions& opt) : opt_(opt)
         workload_ = trace_->workload();
         source_ = trace_.get();
     } else {
-        workload_ = makeWorkload(opt_.workload);
+        if (!opt_.record_trace.empty() &&
+            (!opt_.checkpoint_save.empty() ||
+             !opt_.checkpoint_load.empty())) {
+            pfm_fatal("--record-trace is exclusive with "
+                      "--checkpoint-save/--checkpoint-load (the "
+                      "writer's stream position is not checkpointable "
+                      "state)");
+        }
+        // A restore builds nothing: the checkpoint carries the workload
+        // descriptor, and loadCheckpoint() maps the saved image into the
+        // descriptor's empty memory.
+        if (!opt_.checkpoint_load.empty())
+            restore_ = openCheckpoint(opt_.checkpoint_load, /*built=*/false);
+        else
+            workload_ = makeWorkload(opt_.workload);
         engine_ = std::make_unique<FunctionalEngine>(workload_.program,
                                                      *workload_.mem);
         engine_->reset(workload_.entry);
@@ -165,13 +181,6 @@ Simulator::Simulator(const SimOptions& opt) : opt_(opt)
             engine_->setReg(reg, val);
         source_ = engine_.get();
         if (!opt_.record_trace.empty()) {
-            if (!opt_.checkpoint_save.empty() ||
-                !opt_.checkpoint_load.empty()) {
-                pfm_fatal("--record-trace is exclusive with "
-                          "--checkpoint-save/--checkpoint-load (the "
-                          "writer's stream position is not checkpointable "
-                          "state)");
-            }
             recorder_ = std::make_unique<TraceRecorder>(
                 *engine_, opt_.record_trace, workload_);
             source_ = recorder_.get();
@@ -266,7 +275,6 @@ Simulator::run()
 
     auto run_until = [this, &cancelled](std::uint64_t target) {
         std::uint64_t last_retired = core_->retired();
-        Cycle last_progress = core_->cycle();
         // Deadlock detection counts scheduler iterations, not raw cycles:
         // each iteration is one ticked cycle (a fast-forward jump never
         // replaces a tick that could have made progress), so a legitimate
@@ -300,7 +308,6 @@ Simulator::run()
             core_->tick();
             if (core_->retired() != last_retired) {
                 last_retired = core_->retired();
-                last_progress = core_->cycle();
                 idle_ticks = 0;
                 next_ff_at = kFfIdleThreshold;
             } else if (++idle_ticks > opt_.deadlock_cycles) {
@@ -458,6 +465,14 @@ Simulator::saveCheckpoint(const std::string& path)
     h.component = pfm_ ? opt_.component : "none";
     h.retired = core_->retired();
     w.writeHeader(h);
+    // The static descriptor leads: a restore builds its workload from it
+    // before any machine state is read. It is input, not state, so
+    // writeState() (and with it machineDigest()) leaves it out.
+    w.beginSection("workload");
+    const std::vector<std::uint8_t> desc =
+        trace::encodeWorkloadDescriptor(workload_);
+    w.putBytes(desc.data(), desc.size());
+    w.endSection();
     writeState(w);
     w.finish();
 }
@@ -472,15 +487,50 @@ Simulator::machineDigest() const
     return w.digests();
 }
 
-void
-Simulator::loadCheckpoint(const std::string& path)
+Simulator::OpenCheckpoint
+Simulator::openCheckpoint(const std::string& path, bool built)
 {
-    CkptReader r(path);
-    CkptHeader h = r.readHeader();
+    OpenCheckpoint ck{CkptReader(path), {}};
+    CkptReader& r = ck.reader;
+    const CkptHeader& h = ck.header = r.readHeader();
     if (h.workload != opt_.workload) {
         pfm_fatal("checkpoint %s was saved for workload '%s', not '%s'",
                   path.c_str(), h.workload.c_str(), opt_.workload.c_str());
     }
+    r.beginSection("workload");
+    const std::size_t n = r.remaining();
+    const std::uint8_t* desc = r.view(n);
+    if (built) {
+        // Equal bytes are a valid descriptor by construction, so there
+        // is nothing to decode.
+        const std::vector<std::uint8_t> want =
+            trace::encodeWorkloadDescriptor(workload_);
+        if (n != want.size() || std::memcmp(desc, want.data(), n) != 0)
+            r.fail("descriptor differs from workload '" + workload_.name +
+                   "' as this simulator built it");
+    } else {
+        workload_ = trace::decodeWorkloadDescriptor(
+            desc, n, [&r](const std::string& what) { r.fail(what); });
+        if (workload_.name != h.workload)
+            r.fail("descriptor names workload '" + workload_.name +
+                   "' but the header names '" + h.workload + "'");
+    }
+    r.endSection();
+    return ck;
+}
+
+void
+Simulator::loadCheckpoint(const std::string& path)
+{
+    // The constructor opened opt_.checkpoint_load to take its workload
+    // from it; any other checkpoint opens here, and its descriptor must
+    // match the workload this simulator already holds.
+    OpenCheckpoint ck = restore_ && restore_->reader.path() == path
+                            ? std::move(*restore_)
+                            : openCheckpoint(path, /*built=*/true);
+    restore_.reset();
+    CkptReader& r = ck.reader;
+    const CkptHeader& h = ck.header;
     const bool saved_pfm = h.component != "none";
     if (saved_pfm != (pfm_ != nullptr)) {
         pfm_fatal("checkpoint %s %s a PFM component but this simulator %s "

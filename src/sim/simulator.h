@@ -74,7 +74,8 @@ class Simulator
 
     /**
      * Write a checkpoint of the complete machine state (engine, memory,
-     * core, and the PFM system when attached) to @p path. The header
+     * core, and the PFM system when attached) to @p path, behind the
+     * workload descriptor a restore builds its workload from. The header
      * carries a config fingerprint so a checkpoint can only be restored
      * into a compatibly-configured simulator. Normally driven by
      * SimOptions::checkpoint_save at the warmup boundary. Fatal while
@@ -97,11 +98,14 @@ class Simulator
 
     /**
      * Restore machine state from @p path into this freshly constructed
-     * simulator. Fatal on any mismatch: wrong workload, wrong component,
-     * config fingerprint drift, or a corrupt/truncated file (the error
-     * names the offending section). A checkpoint saved without a
-     * component ("none") loads into a bare-core or deferred-component
-     * simulator only.
+     * simulator. Given SimOptions::checkpoint_load, the constructor has
+     * already taken the workload from that checkpoint; any other
+     * checkpoint's descriptor must equal this simulator's workload.
+     * Fatal on any mismatch: wrong workload or descriptor, wrong
+     * component, config fingerprint drift, or a corrupt/truncated file
+     * (the error names the offending section). A checkpoint saved
+     * without a component ("none") loads into a bare-core or
+     * deferred-component simulator only.
      */
     void loadCheckpoint(const std::string& path);
 
@@ -114,6 +118,20 @@ class Simulator
     const Workload& workload() const { return workload_; }
 
   private:
+    /** A checkpoint read through its workload section, engine next. */
+    struct OpenCheckpoint {
+        CkptReader reader;
+        CkptHeader header;
+    };
+
+    /**
+     * Open @p path, check that it was saved for this workload, and read
+     * its workload section: into workload_ unless @p built, else
+     * compared byte for byte with the workload_ already built (fatal,
+     * naming the section, on any mismatch or malformed descriptor).
+     */
+    OpenCheckpoint openCheckpoint(const std::string& path, bool built);
+
     void attachComponent();
 
     /** The section sequence shared by saveCheckpoint and machineDigest. */
@@ -132,6 +150,9 @@ class Simulator
     std::unique_ptr<Core> core_;
     std::unique_ptr<PfmSystem> pfm_;
     std::unique_ptr<PipelineTracer> tracer_;
+    /** opt_.checkpoint_load, opened by the constructor; consumed by
+     *  loadCheckpoint(). */
+    std::optional<OpenCheckpoint> restore_;
 };
 
 /** Convenience: build, run, and return the result. */

@@ -62,20 +62,30 @@ class ByteWriter
     std::vector<std::uint8_t> buf_;
 };
 
-/** Bounds-checked reader over a payload; fatal naming the trace path. */
+/**
+ * Bounds-checked reader over an untrusted payload; every failure goes
+ * through the caller's DescriptorFail, which names the file.
+ */
 class ByteReader
 {
   public:
-    ByteReader(const std::uint8_t* p, std::size_t n, const std::string& path)
-        : p_(p), n_(n), path_(path)
+    ByteReader(const std::uint8_t* p, std::size_t n, DescriptorFail fail)
+        : p_(p), n_(n), fail_(std::move(fail))
     {
+    }
+
+    [[noreturn]] void
+    fail(const std::string& what) const
+    {
+        fail_(what);
+        pfm_panic("DescriptorFail returned: %s", what.c_str());
     }
 
     void
     bytes(void* out, std::size_t n)
     {
-        if (n > n_ - pos_)
-            pfm_fatal("trace %s: truncated meta payload", path_.c_str());
+        if (n > remaining())
+            fail("truncated payload");
         std::memcpy(out, p_ + pos_, n);
         pos_ += n;
     }
@@ -94,21 +104,21 @@ class ByteReader
     getString()
     {
         std::uint32_t n = get<std::uint32_t>();
-        if (n > n_ - pos_)
-            pfm_fatal("trace %s: truncated string in meta payload",
-                      path_.c_str());
+        if (n > remaining())
+            fail("truncated string");
         std::string s(reinterpret_cast<const char*>(p_ + pos_), n);
         pos_ += n;
         return s;
     }
 
+    std::size_t remaining() const { return n_ - pos_; }
     bool atEnd() const { return pos_ == n_; }
 
   private:
     const std::uint8_t* p_;
     std::size_t n_;
     std::size_t pos_ = 0;
-    const std::string& path_;
+    DescriptorFail fail_;
 };
 
 void
@@ -306,10 +316,11 @@ readHeader(std::FILE* f, const std::string& path)
     return h;
 }
 
-std::vector<std::uint8_t>
-encodeWorkloadMeta(const Workload& w)
+namespace {
+
+void
+writeDescriptor(ByteWriter& b, const Workload& w)
 {
-    ByteWriter b;
     b.putString(w.name);
     b.put(w.entry);
 
@@ -351,62 +362,69 @@ encodeWorkloadMeta(const Workload& w)
         b.putString(key);
         b.put(val);
     }
-
-    // Initial memory image: brk + mapped pages in address order.
-    b.put(w.mem->brk());
-    const std::vector<Addr> pages = w.mem->pageIndices();
-    b.put<std::uint64_t>(pages.size());
-    for (Addr pi : pages) {
-        b.put(pi);
-        b.bytes(w.mem->pageBytes(pi), SimMemory::kPageBytes);
-    }
-    return b.take();
 }
 
-Workload
-decodeWorkloadMeta(const std::vector<std::uint8_t>& raw,
-                   const std::string& path)
+std::string
+outOfRangeReg(unsigned reg)
 {
-    ByteReader b(raw.data(), raw.size(), path);
+    return "register " + std::to_string(reg) + " beyond the " +
+           std::to_string(kNumArchRegs) + " architectural registers";
+}
+
+/**
+ * Parse a descriptor into a Workload over a fresh, empty SimMemory. The
+ * bytes are untrusted (a trace file or a checkpoint blob), so every
+ * index the engine or the core will follow is range-checked here: the
+ * opcode, each register, each branch target and label, the entry PC and
+ * every initial-register index.
+ */
+Workload
+readDescriptor(ByteReader& b)
+{
     Workload w;
     w.name = b.getString();
     w.entry = b.get<Addr>();
 
     const Addr base = b.get<Addr>();
     const std::uint64_t ninst = b.get<std::uint64_t>();
-    if (ninst > raw.size())
-        pfm_fatal("trace %s: implausible instruction count in meta",
-                  path.c_str());
+    if (ninst > b.remaining())
+        b.fail("implausible instruction count " + std::to_string(ninst));
     std::vector<Instruction> insts(static_cast<std::size_t>(ninst));
     for (Instruction& inst : insts) {
         const std::uint8_t op = b.get<std::uint8_t>();
         if (op >= static_cast<std::uint8_t>(Opcode::kNumOpcodes))
-            pfm_fatal("trace %s: invalid opcode %u in meta", path.c_str(),
-                      unsigned{op});
+            b.fail("invalid opcode " + std::to_string(op));
         inst.op = static_cast<Opcode>(op);
         inst.rd = b.get<std::uint8_t>();
         inst.rs1 = b.get<std::uint8_t>();
         inst.rs2 = b.get<std::uint8_t>();
+        for (unsigned reg : {inst.rd, inst.rs1, inst.rs2})
+            if (reg >= kNumArchRegs)
+                b.fail("instruction " + outOfRangeReg(reg));
         inst.imm = b.get<std::int64_t>();
         inst.target = b.get<std::int32_t>();
         if (inst.target >= 0 &&
             static_cast<std::uint64_t>(inst.target) >= ninst)
-            pfm_fatal("trace %s: branch target out of range in meta",
-                      path.c_str());
+            b.fail("branch target " + std::to_string(inst.target) +
+                   " out of range");
     }
     const std::uint64_t nlabels = b.get<std::uint64_t>();
-    if (nlabels > raw.size())
-        pfm_fatal("trace %s: implausible label count in meta",
-                  path.c_str());
+    if (nlabels > b.remaining())
+        b.fail("implausible label count " + std::to_string(nlabels));
     // Labels bind to "the next appended instruction", so rebuild the
     // program by interleaving defineLabel() with append() in index order.
     std::multimap<std::uint64_t, std::string> by_idx;
+    std::string last;
     for (std::uint64_t i = 0; i < nlabels; ++i) {
         std::string label = b.getString();
         std::uint64_t idx = b.get<std::uint64_t>();
+        // Written in name order, so a repeat is out of order too.
+        if (i > 0 && label <= last)
+            b.fail("label '" + label + "' repeated or out of order");
         if (idx >= ninst)
-            pfm_fatal("trace %s: label '%s' index out of range",
-                      path.c_str(), label.c_str());
+            b.fail("label '" + label + "' index " + std::to_string(idx) +
+                   " past the program");
+        last = label;
         by_idx.emplace(idx, std::move(label));
     }
     Program prog(base);
@@ -417,10 +435,15 @@ decodeWorkloadMeta(const std::vector<std::uint8_t>& raw,
         prog.append(insts[static_cast<std::size_t>(i)]);
     }
     w.program = std::move(prog);
+    if (!w.program.contains(w.entry))
+        b.fail("entry PC " + std::to_string(w.entry) +
+               " outside the program");
 
     const std::uint64_t nregs = b.get<std::uint64_t>();
     for (std::uint64_t i = 0; i < nregs; ++i) {
         const std::uint32_t reg = b.get<std::uint32_t>();
+        if (reg >= kNumArchRegs)
+            b.fail("initial " + outOfRangeReg(reg));
         w.init_regs[reg] = b.get<RegVal>();
     }
     auto getAddrMap = [&b](std::map<std::string, Addr>& m) {
@@ -437,8 +460,62 @@ decodeWorkloadMeta(const std::vector<std::uint8_t>& raw,
         std::string key = b.getString();
         w.meta[std::move(key)] = b.get<std::uint64_t>();
     }
-
     w.mem = std::make_shared<SimMemory>();
+    return w;
+}
+
+/** Die naming the trace at @p path. */
+DescriptorFail
+traceFail(const std::string& path)
+{
+    return [path](const std::string& what) {
+        pfm_fatal("trace %s: %s in meta block", path.c_str(), what.c_str());
+    };
+}
+
+} // namespace
+
+std::vector<std::uint8_t>
+encodeWorkloadDescriptor(const Workload& w)
+{
+    ByteWriter b;
+    writeDescriptor(b, w);
+    return b.take();
+}
+
+Workload
+decodeWorkloadDescriptor(const std::uint8_t* p, std::size_t n,
+                         const DescriptorFail& fail)
+{
+    ByteReader b(p, n, fail);
+    Workload w = readDescriptor(b);
+    if (!b.atEnd())
+        b.fail("trailing bytes after the workload descriptor");
+    return w;
+}
+
+std::vector<std::uint8_t>
+encodeWorkloadMeta(const Workload& w)
+{
+    ByteWriter b;
+    writeDescriptor(b, w);
+    // Initial memory image: brk + mapped pages in address order.
+    b.put(w.mem->brk());
+    const std::vector<Addr> pages = w.mem->pageIndices();
+    b.put<std::uint64_t>(pages.size());
+    for (Addr pi : pages) {
+        b.put(pi);
+        b.bytes(w.mem->pageBytes(pi), SimMemory::kPageBytes);
+    }
+    return b.take();
+}
+
+Workload
+decodeWorkloadMeta(const std::vector<std::uint8_t>& raw,
+                   const std::string& path)
+{
+    ByteReader b(raw.data(), raw.size(), traceFail(path));
+    Workload w = readDescriptor(b);
     const Addr brk = b.get<Addr>();
     const std::uint64_t npages = b.get<std::uint64_t>();
     std::vector<std::uint8_t> page(SimMemory::kPageBytes);
@@ -450,8 +527,7 @@ decodeWorkloadMeta(const std::vector<std::uint8_t>& raw,
     }
     w.mem->setBrk(brk);
     if (!b.atEnd())
-        pfm_fatal("trace %s: trailing bytes after meta payload",
-                  path.c_str());
+        b.fail("trailing bytes");
     return w;
 }
 

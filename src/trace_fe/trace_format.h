@@ -23,9 +23,10 @@
  * half-trace under the final name.
  *
  * The *meta* block carries everything needed to materialize a Workload:
- * the assembled program (instructions field-wise + labels), the initial
- * register file, the PC/data/meta annotation maps, and the full initial
- * SimMemory image (brk + pages). The *instruction* blocks carry
+ * its descriptor (encodeWorkloadDescriptor: the assembled program,
+ * instructions field-wise + labels, the initial register file and the
+ * PC/data/meta annotation maps), then the full initial SimMemory image
+ * (brk + pages). The *instruction* blocks carry
  * kRecordBytes-wide dynamic records with the sequence number implicit
  * (records are strictly in program order from seq 0), so a reader can
  * seek by scanning block headers alone — no index section needed.
@@ -47,6 +48,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <string>
 #include <vector>
 
@@ -163,12 +165,36 @@ void writeHeader(std::FILE* f, const TraceHeader& h,
 /** Read and validate the header (magic, version, ISA, CRC). Fatal. */
 TraceHeader readHeader(std::FILE* f, const std::string& path);
 
-/** Serialize the meta-block payload from a materialized workload. */
+/**
+ * Reports a malformed descriptor or meta payload, naming the file it came
+ * from; must not return (pfm_fatal or CkptReader::fail).
+ */
+using DescriptorFail = std::function<void(const std::string& what)>;
+
+/**
+ * Serialize a workload's static *descriptor*: name, entry, the program
+ * (instructions field-wise + labels), the initial registers and the
+ * pcs/data/meta annotation maps — everything but the memory image. A
+ * checkpoint's "workload" section holds exactly these bytes; a trace
+ * meta block holds them followed by the image.
+ */
+std::vector<std::uint8_t> encodeWorkloadDescriptor(const Workload& w);
+
+/**
+ * Parse a descriptor (all @p n bytes) into a Workload over a fresh,
+ * empty SimMemory. Untrusted input: opcodes, registers, branch targets,
+ * labels and the entry PC are range-checked, and any malformation dies
+ * through @p fail.
+ */
+Workload decodeWorkloadDescriptor(const std::uint8_t* p, std::size_t n,
+                                  const DescriptorFail& fail);
+
+/** The meta-block payload: the descriptor, then brk + every page. */
 std::vector<std::uint8_t> encodeWorkloadMeta(const Workload& w);
 
 /**
- * Materialize a Workload (fresh SimMemory) from a meta-block payload.
- * @p path names the trace in diagnostics.
+ * Materialize a Workload (descriptor + its image in a fresh SimMemory)
+ * from a meta-block payload. @p path names the trace in diagnostics.
  */
 Workload decodeWorkloadMeta(const std::vector<std::uint8_t>& raw,
                             const std::string& path);

@@ -10,9 +10,12 @@
  * (truncated, bit-flipped, wrong version, reordered sections, trailing
  * garbage, config drift) dies through pfm_fatal naming the checkpoint and
  * the offending section — never a crash or a silent misload. The
- * checked-in astar_bare_v4 fixture (manifest, blob store and digest
+ * checked-in astar_bare_v5 fixture (manifest, blob store and digest
  * pair) pins the on-disk format of the current writer (regenerate with
- * PFM_REGEN_FIXTURES=1 on a format bump). (Shared-store dedup and blob
+ * PFM_REGEN_FIXTURES=1 on a format bump). Workload section: a restore
+ * takes every registered workload's descriptor from its checkpoint and
+ * builds nothing, and every malformed, missing or foreign descriptor
+ * dies naming the 'workload' section. (Shared-store dedup and blob
  * corruption live in test_ckpt_store.cc.)
  */
 
@@ -41,6 +44,7 @@
 #include "sim/options.h"
 #include "sim/simulator.h"
 #include "sim/sweep.h"
+#include "workloads/registry.h"
 
 namespace pfm {
 namespace {
@@ -285,7 +289,7 @@ TEST(Checkpoint, SavedFilesAreByteIdentical)
     EXPECT_EQ(readFile(p1), readFile(p2));
     const CkptFileInfo i1 = inspectCkptFile(p1);
     const CkptFileInfo i2 = inspectCkptFile(p2);
-    ASSERT_EQ(4u, i1.blobs.size()); // engine, memory, core, pfm
+    ASSERT_EQ(5u, i1.blobs.size()); // workload, engine, memory, core, pfm
     ASSERT_EQ(i1.blobs.size(), i2.blobs.size());
     for (std::size_t i = 0; i < i1.blobs.size(); ++i)
         EXPECT_EQ(readFile(i1.blobs[i].path), readFile(i2.blobs[i].path));
@@ -716,8 +720,8 @@ TEST(CheckpointDeathTest, FlippedHeaderAndFlagBitsAreFatal)
     // Manifest of the small bare checkpoint: magic u64, version u32,
     // fingerprint u64, "astar" and "none" (u32 length + bytes), retired
     // u64 at offsets 37..44, the store subdir (empty: the file's own),
-    // the section count (3), then the entries ("engine": name, hash u64,
-    // raw length u64, raw CRC u32, flags u8 at 83). Flipped header bits
+    // the section count (4), then the entries ("workload": name, hash
+    // u64, raw length u64, raw CRC u32, flags u8 at 85). Flipped header bits
     // fail the manifest CRC; a flag bit no writer sets, with the CRC
     // re-signed, fails the flags check.
     struct Corruption {
@@ -729,15 +733,16 @@ TEST(CheckpointDeathTest, FlippedHeaderAndFlagBitsAreFatal)
     const Corruption cases[] = {
         {37, 0x01, false, "manifest CRC mismatch"},
         {44, 0x80, false, "manifest CRC mismatch"},
-        {83, 0x10, true, "unknown flags 1[67] in manifest entry 'engine'"},
+        {85, 0x10, true,
+         "unknown flags 1[67] in manifest entry 'workload'"},
     };
     for (const Corruption& c : cases) {
         SCOPED_TRACE(c.offset);
         const std::string path = saveSmallCheckpoint("ckpt_hdr.ckpt");
         std::vector<unsigned char> bytes = readFile(path);
-        ASSERT_GT(bytes.size(), 84u);
-        ASSERT_EQ(0, std::memcmp(&bytes[45], "\0\0\0\0\3\0\0\0"
-                                             "\x06\0\0\0engine", 18));
+        ASSERT_GT(bytes.size(), 86u);
+        ASSERT_EQ(0, std::memcmp(&bytes[45], "\0\0\0\0\4\0\0\0"
+                                             "\x08\0\0\0workload", 20));
         bytes[c.offset] ^= c.bits;
         if (c.resign) {
             const std::uint32_t crc =
@@ -755,13 +760,15 @@ TEST(CheckpointDeathTest, FlippedHeaderAndFlagBitsAreFatal)
  * Rewrite the checkpoint at @p path section by section through
  * CkptReader and CkptWriter, letting @p mutate edit each raw payload: a
  * corruption that keeps every CRC valid, so only the loaders' own checks
- * can catch it.
+ * can catch it. @p write, when given, lists the sections to write back
+ * (each one of @p names) in order: a section dropped or moved.
  */
 void
 rewriteSections(
     const std::string& path, const std::vector<std::string>& names,
     const std::function<void(const CkptHeader&, const std::string&,
-                             std::vector<unsigned char>&)>& mutate)
+                             std::vector<unsigned char>&)>& mutate,
+    std::vector<std::string> write = {})
 {
     CkptReader r(path);
     const CkptHeader h = r.readHeader();
@@ -775,10 +782,15 @@ rewriteSections(
     }
     ASSERT_TRUE(r.atEnd());
 
+    if (write.empty())
+        write = names;
     CkptWriter w(path);
     w.writeHeader(h);
-    for (std::size_t i = 0; i < names.size(); ++i) {
-        w.beginSection(names[i]);
+    for (const std::string& name : write) {
+        const std::size_t i = static_cast<std::size_t>(
+            std::find(names.begin(), names.end(), name) - names.begin());
+        ASSERT_LT(i, names.size()) << name;
+        w.beginSection(name);
         w.putBytes(payloads[i].data(), payloads[i].size());
         w.endSection();
     }
@@ -792,7 +804,7 @@ TEST(CheckpointDeathTest, IqListDisagreeingWithSlabIsFatal)
     // and save it again, so only that check can catch it.
     const std::string path = saveSmallCheckpoint("ckpt_iq.ckpt");
     std::uint64_t dropped = 0;
-    rewriteSections(path, {"engine", "memory", "core"},
+    rewriteSections(path, {"workload", "engine", "memory", "core"},
                     [&dropped](const CkptHeader& h, const std::string& name,
                                std::vector<unsigned char>& bytes) {
         if (name != "core")
@@ -895,7 +907,7 @@ TEST(CheckpointDeathTest, EnginePageIndicesOutOfOrderRepeatedOrBeyondCap)
         SCOPED_TRACE(c.name);
         const std::string path = saveSmallCheckpoint("ckpt_pages.ckpt");
         std::string message;
-        rewriteSections(path, {"engine", "memory", "core"},
+        rewriteSections(path, {"workload", "engine", "memory", "core"},
                         [&](const CkptHeader&, const std::string& name,
                             std::vector<unsigned char>& bytes) {
             if (name != "engine")
@@ -921,9 +933,10 @@ TEST(CheckpointDeathTest, EnginePageIndicesOutOfOrderRepeatedOrBeyondCap)
 
 TEST(CheckpointDeathTest, WrongVersionTagIsFatal)
 {
-    // 99: from the future. 3: the retired per-line cache layout.
-    // 2: the retired pre-compression layout.
-    for (unsigned char version : {99, 3, 2}) {
+    // 99: from the future. 4: the retired layout without a workload
+    // section. 3: the retired per-line cache layout. 2: the retired
+    // pre-compression layout.
+    for (unsigned char version : {99, 4, 3, 2}) {
         SCOPED_TRACE(static_cast<int>(version));
         const std::string path = saveSmallCheckpoint("ckpt_ver.ckpt");
         std::vector<unsigned char> bytes = readFile(path);
@@ -933,7 +946,7 @@ TEST(CheckpointDeathTest, WrongVersionTagIsFatal)
         writeFile(path, bytes);
         EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
                     "format version " + std::to_string(version) +
-                        " != supported version 4");
+                        " != supported version 5");
         ckptRemove(path);
     }
 }
@@ -1139,6 +1152,212 @@ TEST(CheckpointDeathTest, UnsupportedComponentDeferralIsFatal)
                 "cannot be attached at the warmup boundary");
 }
 
+// ------------------------------------------------------ workload section
+
+/** Every descriptor field of @p got equals @p want's; the image aside. */
+void
+expectSameDescriptor(const Workload& want, const Workload& got)
+{
+    EXPECT_EQ(want.name, got.name);
+    EXPECT_EQ(want.entry, got.entry);
+    EXPECT_EQ(want.program.base(), got.program.base());
+    ASSERT_EQ(want.program.size(), got.program.size());
+    for (std::size_t i = 0; i < want.program.size(); ++i) {
+        const Instruction& a = want.program.inst(i);
+        const Instruction& b = got.program.inst(i);
+        EXPECT_TRUE(a.op == b.op && a.rd == b.rd && a.rs1 == b.rs1 &&
+                    a.rs2 == b.rs2 && a.imm == b.imm &&
+                    a.target == b.target)
+            << "instruction " << i << ": " << formatInst(a) << " vs "
+            << formatInst(b);
+    }
+    EXPECT_EQ(want.program.labels(), got.program.labels());
+    EXPECT_EQ(want.init_regs, got.init_regs);
+    EXPECT_EQ(want.pcs, got.pcs);
+    EXPECT_EQ(want.data, got.data);
+    EXPECT_EQ(want.meta, got.meta);
+}
+
+TEST(WorkloadDescriptor, RestoreTakesEveryRegisteredWorkloadFromItsCheckpoint)
+{
+    // A restore builds nothing: the constructor decodes the checkpoint's
+    // workload section over an empty memory, and run() maps the saved
+    // image into it.
+    for (const std::string& name : workloadNames()) {
+        SCOPED_TRACE(name);
+        const std::string path = tmpPath("ckpt_desc_" + name + ".ckpt");
+        SimOptions o;
+        o.workload = name;
+        o.component = "none";
+        o.warmup_instructions = 0;
+        o.max_instructions = 0;
+
+        SimOptions save = o;
+        save.checkpoint_save = path;
+        Simulator saver(save);
+        saver.run();
+
+        SimOptions load = o;
+        load.checkpoint_load = path;
+        Simulator restored(load);
+        EXPECT_TRUE(restored.workload().mem->pageIndices().empty());
+        expectSameDescriptor(makeWorkload(name), restored.workload());
+        restored.run();
+        expectSameMachine(saver, restored);
+        ckptRemove(path);
+    }
+}
+
+using WorkloadDescriptorDeathTest = ::testing::Test;
+
+TEST(WorkloadDescriptorDeathTest, MalformedDescriptorIsFatalNamingTheSection)
+{
+    // The astar descriptor: its name ("astar": u32 length + 5 bytes),
+    // entry u64, program base u64, instruction count u64 at 25, then 16
+    // bytes per instruction from 33 (opcode u8, rd/rs1/rs2 u8, imm i64,
+    // target i32), the label count u64 and one {name, index u64} per
+    // label. Each case edits the payload and keeps every CRC valid, so
+    // only the descriptor decoder can catch it.
+    constexpr std::size_t kInsts = 33;
+    auto labelsAt = [](const std::vector<unsigned char>& bytes) {
+        std::uint64_t n;
+        std::memcpy(&n, &bytes[25], 8);
+        return kInsts + 16 * static_cast<std::size_t>(n);
+    };
+    struct Case {
+        const char* name;
+        std::function<std::string(std::vector<unsigned char>&)> mutate;
+    };
+    const Case cases[] = {
+        {"unknown opcode",
+         [](std::vector<unsigned char>& bytes) {
+             bytes[kInsts] = 0xFF;
+             return std::string("invalid opcode 255");
+         }},
+        {"register beyond the file",
+         [](std::vector<unsigned char>& bytes) {
+             bytes[kInsts + 1] = kNumArchRegs;
+             return "instruction register " + std::to_string(kNumArchRegs) +
+                    " beyond";
+         }},
+        {"label past the program",
+         [&](std::vector<unsigned char>& bytes) {
+             const std::size_t first = labelsAt(bytes) + 8;
+             std::uint32_t len;
+             std::memcpy(&len, &bytes[first], 4);
+             const std::uint64_t past = (labelsAt(bytes) - kInsts) / 16;
+             std::memcpy(&bytes[first + 4 + len], &past, 8);
+             return "label '.*' index " + std::to_string(past) +
+                    " past the program";
+         }},
+        {"label repeated",
+         [&](std::vector<unsigned char>& bytes) {
+             // Replace every label with two copies of {"a", index 0}.
+             const std::size_t count = labelsAt(bytes);
+             std::uint64_t n;
+             std::memcpy(&n, &bytes[count], 8);
+             std::size_t end = count + 8;
+             for (std::uint64_t i = 0; i < n; ++i) {
+                 std::uint32_t len;
+                 std::memcpy(&len, &bytes[end], 4);
+                 end += 4 + len + 8;
+             }
+             const unsigned char two[8] = {2};
+             const unsigned char label[13] = {1, 0, 0, 0, 'a'};
+             std::vector<unsigned char> labels(two, two + 8);
+             labels.insert(labels.end(), label, label + 13);
+             labels.insert(labels.end(), label, label + 13);
+             bytes.erase(bytes.begin() + static_cast<std::ptrdiff_t>(count),
+                         bytes.begin() + static_cast<std::ptrdiff_t>(end));
+             bytes.insert(bytes.begin() + static_cast<std::ptrdiff_t>(count),
+                          labels.begin(), labels.end());
+             return std::string("label 'a' repeated or out of order");
+         }},
+        {"entry outside the program",
+         [](std::vector<unsigned char>& bytes) {
+             std::memset(&bytes[9], 0, 8);
+             return std::string("entry PC 0 outside the program");
+         }},
+        {"truncated string",
+         [](std::vector<unsigned char>& bytes) {
+             bytes.resize(6); // mid-way through "astar"
+             return std::string("truncated string");
+         }},
+        {"trailing byte",
+         [](std::vector<unsigned char>& bytes) {
+             bytes.push_back(0);
+             return std::string("trailing bytes after the workload "
+                                "descriptor");
+         }},
+        {"name differs from the header",
+         [](std::vector<unsigned char>& bytes) {
+             bytes[4] = 'b';
+             return std::string("descriptor names workload 'bstar' but "
+                                "the header names 'astar'");
+         }},
+    };
+    for (const Case& c : cases) {
+        SCOPED_TRACE(c.name);
+        const std::string path = saveSmallCheckpoint("ckpt_desc.ckpt");
+        std::string message;
+        rewriteSections(path, {"workload", "engine", "memory", "core"},
+                        [&](const CkptHeader&, const std::string& name,
+                            std::vector<unsigned char>& bytes) {
+            if (name != "workload")
+                return;
+            ASSERT_EQ(0, std::memcmp(bytes.data(), "\5\0\0\0astar", 9));
+            message = c.mutate(bytes);
+        });
+        ASSERT_FALSE(message.empty());
+        EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
+                    message + ".* \\(section 'workload'\\)");
+        ckptRemove(path);
+    }
+}
+
+TEST(WorkloadDescriptorDeathTest, MissingOrMisorderedSectionIsFatal)
+{
+    const std::vector<std::vector<std::string>> orders = {
+        {"engine", "memory", "core"},
+        {"engine", "workload", "memory", "core"},
+    };
+    for (const std::vector<std::string>& order : orders) {
+        SCOPED_TRACE(order.size());
+        const std::string path = saveSmallCheckpoint("ckpt_desc_order.ckpt");
+        rewriteSections(
+            path, {"workload", "engine", "memory", "core"},
+            [](const CkptHeader&, const std::string&,
+               std::vector<unsigned char>&) {},
+            order);
+        EXPECT_EXIT(loadSmall(path), ::testing::ExitedWithCode(1),
+                    "expected section 'workload', found 'engine' "
+                    "\\(section order mismatch\\) \\(section 'workload'\\)");
+        ckptRemove(path);
+    }
+}
+
+TEST(WorkloadDescriptorDeathTest, DirectLoadOfAnotherProgramIsFatal)
+{
+    // loadCheckpoint() into a simulator that built its own workload
+    // compares the descriptor byte for byte, so a checkpoint cannot pair
+    // another program with this build's image (or this program with its).
+    const std::string path = saveSmallCheckpoint("ckpt_desc_direct.ckpt");
+    rewriteSections(path, {"workload", "engine", "memory", "core"},
+                    [](const CkptHeader&, const std::string& name,
+                       std::vector<unsigned char>& bytes) {
+        if (name == "workload")
+            bytes[33 + 4] ^= 1; // the first instruction's immediate
+    });
+    auto load_built = [&path] {
+        Simulator sim(smallBareOptions());
+        sim.loadCheckpoint(path);
+    };
+    EXPECT_EXIT(load_built(), ::testing::ExitedWithCode(1),
+                "descriptor differs from workload 'astar' as this "
+                "simulator built it \\(section 'workload'\\)");
+    ckptRemove(path);
+}
+
 // ------------------------------------------------------------ golden file
 
 SimOptions
@@ -1237,13 +1456,13 @@ checkFixtureDigest(const std::string& fixture,
     expectSameMachine(parseDigest(expected_machine), machine);
 }
 
-TEST(Checkpoint, GoldenFixtureReportDigestV4)
+TEST(Checkpoint, GoldenFixtureReportDigestV5)
 {
-    // Current-format fixture: the manifest astar_bare_v4.ckpt and its
-    // own store astar_bare_v4.ckpt.blobs/ (compressed blobs, so the
+    // Current-format fixture: the manifest astar_bare_v5.ckpt and its
+    // own store astar_bare_v5.ckpt.blobs/ (compressed blobs, so the
     // digests also pin the blob encoding).
     const std::string dir = PFM_FIXTURES_DIR;
-    const std::string fixture = dir + "/astar_bare_v4.ckpt";
+    const std::string fixture = dir + "/astar_bare_v5.ckpt";
     const bool regen = std::getenv("PFM_REGEN_FIXTURES") != nullptr;
 
     if (regen) {
@@ -1255,7 +1474,7 @@ TEST(Checkpoint, GoldenFixtureReportDigestV4)
         sim.run();
     }
 
-    checkFixtureDigest(fixture, dir + "/astar_bare_v4.digest", regen);
+    checkFixtureDigest(fixture, dir + "/astar_bare_v5.digest", regen);
 }
 
 } // namespace

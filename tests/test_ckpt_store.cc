@@ -404,7 +404,7 @@ TEST(CkptStore, LbmFarmSharedStoreDedupsFiveTimes)
         o.ckpt_store = subdir;
         Simulator(o).run();
         const CkptFileInfo info = inspectCkptFile(path);
-        EXPECT_EQ(3u, info.blobs.size());
+        EXPECT_EQ(4u, info.blobs.size()); // workload, engine, memory, core
         logical_bytes += info.logical_bytes;
         store_bytes += info.file_bytes;
         std::remove(path.c_str());

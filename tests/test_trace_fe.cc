@@ -17,6 +17,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <fstream>
@@ -24,6 +25,7 @@
 #include <vector>
 
 #include "identity.h"
+#include "sim/checkpoint.h"
 #include "sim/options.h"
 #include "sim/simulator.h"
 #include "trace_fe/trace_format.h"
@@ -163,6 +165,45 @@ TEST(TraceRecord, RecordingIsDeterministic)
     EXPECT_EQ(trace::traceFileId(p1), trace::traceFileId(p2));
     std::remove(p1.c_str());
     std::remove(p2.c_str());
+}
+
+TEST(TraceRecord, MetaBlockIsTheDescriptorThenAnUnchangedImage)
+{
+    // The meta block opens with the workload descriptor, the bytes a
+    // checkpoint's workload section holds, and its whole payload is what
+    // the format wrote before the descriptor was split out: the length
+    // and CRC below come from a trace recorded by that code with this
+    // command line (`quickstart <args>`), which therefore still replays.
+    const std::string path = tmpPath("trace_meta.pfmtrace");
+    std::vector<std::string> args = {
+        "quickstart", "--workload=astar", "--component=none",
+        "--warmup=1000", "--instructions=2000", "--record-trace=" + path};
+    std::vector<char*> argv;
+    for (std::string& a : args)
+        argv.push_back(a.data());
+    SimOptions o = parseCommandLine(static_cast<int>(argv.size()),
+                                    argv.data());
+    const SimResult native = runSim(o);
+
+    std::FILE* f = std::fopen(path.c_str(), "rb");
+    ASSERT_NE(nullptr, f);
+    trace::readHeader(f, path);
+    const trace::BlockHeader bh = trace::readBlockHeader(f, path);
+    std::vector<std::uint8_t> meta;
+    trace::readBlockPayload(f, bh, meta, path);
+    std::fclose(f);
+    const std::vector<std::uint8_t> desc =
+        trace::encodeWorkloadDescriptor(makeWorkload("astar"));
+    ASSERT_LT(desc.size(), meta.size());
+    EXPECT_TRUE(std::equal(desc.begin(), desc.end(), meta.begin()));
+    EXPECT_EQ(1063542u, meta.size());
+    EXPECT_EQ(0xF68FB327u, ckptCrc32(meta.data(), meta.size()));
+
+    SimOptions replay = o;
+    replay.workload = "trace:" + path;
+    replay.record_trace.clear();
+    expectSameRow(runSim(replay), native);
+    std::remove(path.c_str());
 }
 
 TEST(TraceReplay, RunsDryCleanlyUnderALargerBudget)
