@@ -31,7 +31,7 @@ runLibquantum(bool attach_prefetcher, const AdaptiveDistance::Params& ad)
     Core core(cp, engine, mem);
 
     PfmParams pp; // clk4_w4 queue32 defaults
-    PfmSystem pfm(pp, mem, engine.commitLog());
+    PfmSystem pfm(pp, mem, engine.commitLog(), core.laneUsage());
     if (attach_prefetcher) {
         std::uint64_t nodes = w.metaVal("nodes");
         std::uint64_t stride = w.metaVal("stride");

@@ -47,7 +47,7 @@ run(bool watchdog)
 
     PfmParams pp;
     pp.watchdog_cycles = watchdog ? 5'000 : 0;
-    PfmSystem pfm(pp, mem, engine.commitLog());
+    PfmSystem pfm(pp, mem, engine.commitLog(), core.laneUsage());
 
     // Configure snoop tables exactly as the normal factory does, but
     // install the buggy component.

@@ -28,6 +28,12 @@
 # The workload-descriptor suites (WorkloadDescriptor*) join because a
 # restore now decodes the program it runs from the checkpoint: opcode,
 # register, branch-target and label indices read from untrusted bytes.
+# The commit-log suites (CommitLog*) join for the store FIFO's index
+# arithmetic: byte offsets into each store's pre-store bytes, a coverage
+# bitmask per read, and a loader that regroups untrusted per-byte
+# records into stores. The hook-gating suite (HookGating.*) joins for
+# the per-PC snoop flag table the core indexes by PC offset on every
+# retirement and fetched branch.
 # The rest of that binary is long simulation runs the plain build
 # covers.
 #
@@ -47,4 +53,5 @@ SUITES="$SUITES:HierarchyTest.*"
 SUITES="$SUITES:Geometries/CacheProperty.*:LayoutEquiv.*"
 SUITES="$SUITES:Core.*:CoreSlab.*:FastForward.*:CoreParamProperty.*"
 SUITES="$SUITES:SimMemory*:SharedRestore.*:WorkloadDescriptor*"
+SUITES="$SUITES:CommitLog*:HookGating.*"
 "$BUILD_DIR/tests/pfm_tests" --gtest_filter="$SUITES"

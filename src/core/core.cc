@@ -221,7 +221,7 @@ Core::tick() noexcept
     issue(now);
     dispatch(now);
     fetch(now);
-    if (hooks_)
+    if (hooks_ && now >= hooks_->gate().wake)
         hooks_->onCycle(now, free_ls_slots_, usage_);
     drainWriteBuffer(now);
     ++cycle_;

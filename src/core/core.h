@@ -15,7 +15,8 @@
  * PFM hooks: the agents of the paper attach through CoreHooks — fetch-time
  * prediction override (Fetch Agent), retire-time observation (Retire
  * Agent), squash protocol, and per-cycle access to idle load/store issue
- * slots (Load Agent).
+ * slots (Load Agent). A hooks owner declares through its HookGate which
+ * of those calls it needs: the snooped PCs and the next cycle it can act.
  */
 
 #ifndef PFM_CORE_CORE_H
@@ -64,11 +65,54 @@ struct IssueUsage {
     unsigned fp = 0;  ///< FP/complex lanes used (of 2)
 };
 
+/** Snoop-filter flags of one PC (HookGate::wants). */
+enum SnoopFlag : std::uint8_t {
+    kSnoopRst = 1, ///< retire-side interest: onRetire()
+    kSnoopFst = 2, ///< fetch- and retire-side interest: fetchOverride()
+};
+
+/**
+ * Which CoreHooks calls the owner needs (DESIGN.md §8 "Hook gating").
+ * The defaults deliver every call; an owner that declares less must
+ * reach the same state as when it is called for every event.
+ *  - Snoop filter: onRetire() only for PCs with a flag set, and
+ *    fetchOverride() only for kSnoopFst PCs. A retirement the filter
+ *    withholds bumps @c unsnooped_retired instead, when that is set and
+ *    the cycle is at least @c unsnooped_from.
+ *  - Wake cycle: onCycle() only at cycles >= @c wake.
+ */
+struct HookGate {
+    bool filtered = false;              ///< false: every PC is wanted
+    const std::uint8_t* pc_flags = nullptr; ///< flags of pc_base + 4*i
+    Addr pc_base = 0;
+    std::size_t pc_count = 0;
+    Counter* unsnooped_retired = nullptr;
+    Cycle unsnooped_from = 0;
+    Cycle wake = 0;
+
+    /** Whether an event at @p pc with interest @p mask is delivered. */
+    bool
+    wants(Addr pc, std::uint8_t mask) const
+    {
+        if (!filtered)
+            return true;
+        const Addr i = (pc - pc_base) >> 2;
+        return i < pc_count && (pc_flags[i] & mask) != 0;
+    }
+};
+
 /** Interface the PFM system implements to attach to the core. */
 class CoreHooks
 {
   public:
     virtual ~CoreHooks() = default;
+
+    /**
+     * The calls this owner declares it needs. Not virtual: a decorator
+     * that forwards to another hooks object keeps the default gate, so
+     * it — and the object behind it — sees every event.
+     */
+    const HookGate& gate() const { return gate_; }
 
     /** A conditional branch is being fetched; may override the predictor. */
     virtual FetchOverride
@@ -102,8 +146,8 @@ class CoreHooks
     /**
      * End-of-cycle callback: @p free_ls_slots load/store issue slots were
      * left idle this cycle (Load Agent injection opportunity); @p usage
-     * reports which execution lanes read the PRF this cycle (Retire Agent
-     * port contention).
+     * reports which execution lanes read the PRF this cycle (the same as
+     * Core::laneUsage()). Called only from cycle gate().wake on.
      */
     virtual void
     onCycle(Cycle now, unsigned free_ls_slots, const IssueUsage& usage)
@@ -138,6 +182,9 @@ class CoreHooks
     {
         (void)from; (void)to;
     }
+
+  protected:
+    HookGate gate_;
 };
 
 class TraceSink; // sim/trace.h
@@ -182,6 +229,13 @@ class Core
 
     Cycle cycle() const { return cycle_; }
     std::uint64_t retired() const { return retired_; }
+
+    /**
+     * Issue-lane usage of the last ticked cycle (zero across a
+     * fast-forward gap): at retire time, the previous cycle's PRF read
+     * ports (the Retire Agent's portP check).
+     */
+    const IssueUsage& laneUsage() const { return usage_; }
 
     StatGroup& stats() { return stats_; }
     const StatGroup& stats() const { return stats_; }

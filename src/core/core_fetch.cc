@@ -62,7 +62,7 @@ Core::fetch(Cycle now)
         if (e.d.isCondBranch()) {
             ++ctr_cond_fetched_;
             FetchOverride fo;
-            if (hooks_)
+            if (hooks_ && hooks_->gate().wants(e.d.pc, kSnoopFst))
                 fo = hooks_->fetchOverride(e.d, e.replayed, now);
             if (fo.stall) {
                 ++ctr_fetch_stall_pfm_;

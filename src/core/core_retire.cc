@@ -29,8 +29,13 @@ Core::retire(Cycle now)
         }
 
         RetireDecision dec;
-        if (hooks_)
-            dec = hooks_->onRetire(head.d, now);
+        if (hooks_) {
+            const HookGate& gate = hooks_->gate();
+            if (gate.wants(head.d.pc, kSnoopRst | kSnoopFst))
+                dec = hooks_->onRetire(head.d, now);
+            else if (gate.unsnooped_retired && now >= gate.unsnooped_from)
+                ++*gate.unsnooped_retired;
+        }
         if (!dec.allow) {
             retire_stall_until_ = std::max(dec.retry_at, now + 1);
             ++ctr_retire_stall_pfm_;

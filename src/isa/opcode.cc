@@ -9,83 +9,24 @@ namespace pfm {
 
 namespace {
 
-struct OpEntry {
-    const char* name;
-    OpTraits t;
-};
-
-// Field order: cls, load, store, cond_br, uncond, writes_rd, reads_rs1,
-// reads_rs2, is_fp, mem_bytes, mem_signed.
-constexpr std::array<OpEntry, static_cast<size_t>(Opcode::kNumOpcodes)>
-kTable = {{
-    {"add",   {OpClass::kIntAlu, 0,0,0,0, 1,1,1, 0, 0,0}},
-    {"sub",   {OpClass::kIntAlu, 0,0,0,0, 1,1,1, 0, 0,0}},
-    {"mul",   {OpClass::kIntMul, 0,0,0,0, 1,1,1, 0, 0,0}},
-    {"div",   {OpClass::kIntDiv, 0,0,0,0, 1,1,1, 0, 0,0}},
-    {"rem",   {OpClass::kIntDiv, 0,0,0,0, 1,1,1, 0, 0,0}},
-    {"and",   {OpClass::kIntAlu, 0,0,0,0, 1,1,1, 0, 0,0}},
-    {"or",    {OpClass::kIntAlu, 0,0,0,0, 1,1,1, 0, 0,0}},
-    {"xor",   {OpClass::kIntAlu, 0,0,0,0, 1,1,1, 0, 0,0}},
-    {"sll",   {OpClass::kIntAlu, 0,0,0,0, 1,1,1, 0, 0,0}},
-    {"srl",   {OpClass::kIntAlu, 0,0,0,0, 1,1,1, 0, 0,0}},
-    {"sra",   {OpClass::kIntAlu, 0,0,0,0, 1,1,1, 0, 0,0}},
-    {"slt",   {OpClass::kIntAlu, 0,0,0,0, 1,1,1, 0, 0,0}},
-    {"sltu",  {OpClass::kIntAlu, 0,0,0,0, 1,1,1, 0, 0,0}},
-    {"addi",  {OpClass::kIntAlu, 0,0,0,0, 1,1,0, 0, 0,0}},
-    {"andi",  {OpClass::kIntAlu, 0,0,0,0, 1,1,0, 0, 0,0}},
-    {"ori",   {OpClass::kIntAlu, 0,0,0,0, 1,1,0, 0, 0,0}},
-    {"xori",  {OpClass::kIntAlu, 0,0,0,0, 1,1,0, 0, 0,0}},
-    {"slli",  {OpClass::kIntAlu, 0,0,0,0, 1,1,0, 0, 0,0}},
-    {"srli",  {OpClass::kIntAlu, 0,0,0,0, 1,1,0, 0, 0,0}},
-    {"srai",  {OpClass::kIntAlu, 0,0,0,0, 1,1,0, 0, 0,0}},
-    {"slti",  {OpClass::kIntAlu, 0,0,0,0, 1,1,0, 0, 0,0}},
-    {"sltiu", {OpClass::kIntAlu, 0,0,0,0, 1,1,0, 0, 0,0}},
-    {"lui",   {OpClass::kIntAlu, 0,0,0,0, 1,0,0, 0, 0,0}},
-    {"lb",    {OpClass::kLoad,   1,0,0,0, 1,1,0, 0, 1,1}},
-    {"lbu",   {OpClass::kLoad,   1,0,0,0, 1,1,0, 0, 1,0}},
-    {"lh",    {OpClass::kLoad,   1,0,0,0, 1,1,0, 0, 2,1}},
-    {"lhu",   {OpClass::kLoad,   1,0,0,0, 1,1,0, 0, 2,0}},
-    {"lw",    {OpClass::kLoad,   1,0,0,0, 1,1,0, 0, 4,1}},
-    {"lwu",   {OpClass::kLoad,   1,0,0,0, 1,1,0, 0, 4,0}},
-    {"ld",    {OpClass::kLoad,   1,0,0,0, 1,1,0, 0, 8,0}},
-    {"sb",    {OpClass::kStore,  0,1,0,0, 0,1,1, 0, 1,0}},
-    {"sh",    {OpClass::kStore,  0,1,0,0, 0,1,1, 0, 2,0}},
-    {"sw",    {OpClass::kStore,  0,1,0,0, 0,1,1, 0, 4,0}},
-    {"sd",    {OpClass::kStore,  0,1,0,0, 0,1,1, 0, 8,0}},
-    {"beq",   {OpClass::kBranch, 0,0,1,0, 0,1,1, 0, 0,0}},
-    {"bne",   {OpClass::kBranch, 0,0,1,0, 0,1,1, 0, 0,0}},
-    {"blt",   {OpClass::kBranch, 0,0,1,0, 0,1,1, 0, 0,0}},
-    {"bge",   {OpClass::kBranch, 0,0,1,0, 0,1,1, 0, 0,0}},
-    {"bltu",  {OpClass::kBranch, 0,0,1,0, 0,1,1, 0, 0,0}},
-    {"bgeu",  {OpClass::kBranch, 0,0,1,0, 0,1,1, 0, 0,0}},
-    {"jal",   {OpClass::kJump,   0,0,0,1, 1,0,0, 0, 0,0}},
-    {"jalr",  {OpClass::kJump,   0,0,0,1, 1,1,0, 0, 0,0}},
-    {"fld",   {OpClass::kLoad,   1,0,0,0, 1,1,0, 1, 8,0}},
-    {"fsd",   {OpClass::kStore,  0,1,0,0, 0,1,1, 1, 8,0}},
-    {"fadd",  {OpClass::kFpAdd,  0,0,0,0, 1,1,1, 1, 0,0}},
-    {"fsub",  {OpClass::kFpAdd,  0,0,0,0, 1,1,1, 1, 0,0}},
-    {"fmul",  {OpClass::kFpMul,  0,0,0,0, 1,1,1, 1, 0,0}},
-    {"fdiv",  {OpClass::kFpDiv,  0,0,0,0, 1,1,1, 1, 0,0}},
-    {"nop",   {OpClass::kNop,    0,0,0,0, 0,0,0, 0, 0,0}},
-    {"halt",  {OpClass::kNop,    0,0,0,0, 0,0,0, 0, 0,0}},
+// Mnemonics, in Opcode order (the traits live in opcode.h).
+constexpr std::array<const char*, kOpTraits.size()> kNames = {{
+    "add", "sub", "mul", "div", "rem", "and", "or", "xor", "sll", "srl",
+    "sra", "slt", "sltu", "addi", "andi", "ori", "xori", "slli", "srli",
+    "srai", "slti", "sltiu", "lui", "lb", "lbu", "lh", "lhu", "lw", "lwu",
+    "ld", "sb", "sh", "sw", "sd", "beq", "bne", "blt", "bge", "bltu",
+    "bgeu", "jal", "jalr", "fld", "fsd", "fadd", "fsub", "fmul", "fdiv",
+    "nop", "halt",
 }};
 
 } // namespace
-
-const OpTraits&
-opTraits(Opcode op)
-{
-    pfm_assert(op < Opcode::kNumOpcodes, "bad opcode %d",
-               static_cast<int>(op));
-    return kTable[static_cast<size_t>(op)].t;
-}
 
 const char*
 opName(Opcode op)
 {
     pfm_assert(op < Opcode::kNumOpcodes, "bad opcode %d",
                static_cast<int>(op));
-    return kTable[static_cast<size_t>(op)].name;
+    return kNames[static_cast<size_t>(op)];
 }
 
 Opcode
@@ -93,8 +34,8 @@ opFromName(const std::string& name)
 {
     static const std::unordered_map<std::string, Opcode> map = [] {
         std::unordered_map<std::string, Opcode> m;
-        for (size_t i = 0; i < kTable.size(); ++i)
-            m.emplace(kTable[i].name, static_cast<Opcode>(i));
+        for (size_t i = 0; i < kNames.size(); ++i)
+            m.emplace(kNames[i], static_cast<Opcode>(i));
         return m;
     }();
     auto it = map.find(name);

@@ -1,6 +1,7 @@
 #include "mem_sys/commit_log.h"
 
 #include <algorithm>
+#include <tuple>
 #include <vector>
 
 #include "sim/checkpoint.h"
@@ -12,44 +13,57 @@ namespace pfm {
 void
 CommitLog::recordStore(SeqNum seq, Addr addr, unsigned size)
 {
-    for (unsigned i = 0; i < size; ++i) {
-        Addr a = addr + i;
-        std::uint8_t old = 0;
-        mem_.readBytes(a, &old, 1);
-        pending_[a].emplace(seq, old);
-    }
+    pfm_assert(size >= 1 && size <= 8, "store of %u bytes", size);
+    pfm_assert(fifo_.empty() || fifo_.back().seq < seq,
+               "stores must be recorded in seq order");
+    PendingStore& s = fifo_.emplace_back();
+    s.seq = seq;
+    s.addr = addr;
+    s.size = size;
+    mem_.readBytes(addr, s.old.data(), size);
 }
 
 void
 CommitLog::retireStore(SeqNum seq, Addr addr, unsigned size)
 {
-    for (unsigned i = 0; i < size; ++i) {
-        Addr a = addr + i;
-        auto it = pending_.find(a);
-        pfm_assert(it != pending_.end(), "retiring untracked store byte");
-        pfm_assert(it->second.begin()->first == seq,
-                   "stores must retire in order per byte");
-        it->second.erase(it->second.begin());
-        if (it->second.empty())
-            pending_.erase(it);
-    }
+    pfm_assert(!fifo_.empty() && fifo_.front().seq == seq &&
+                   fifo_.front().addr == addr && fifo_.front().size == size,
+               "stores must retire in order (seq %llu)",
+               (unsigned long long)seq);
+    fifo_.pop_front();
 }
 
 std::uint64_t
 CommitLog::committedRead(Addr addr, unsigned size) const
 {
-    std::uint64_t v = 0;
-    for (unsigned i = 0; i < size; ++i) {
-        Addr a = addr + i;
-        std::uint8_t byte;
-        auto it = pending_.find(a);
-        if (it != pending_.end()) {
-            byte = it->second.begin()->second;
-        } else {
-            mem_.readBytes(a, &byte, 1);
+    pfm_assert(size <= 8, "committed read of %u bytes", size);
+    std::uint8_t bytes[8] = {};
+    unsigned missing = (1u << size) - 1; // bit i: byte addr+i unresolved
+    for (const PendingStore& s : fifo_) {
+        if (s.addr >= addr + size || addr >= s.addr + s.size)
+            continue;
+        const Addr lo = std::max(addr, s.addr);
+        const Addr hi = std::min(addr + size, s.addr + s.size);
+        for (Addr a = lo; a < hi; ++a) {
+            const unsigned bit = 1u << (a - addr);
+            if (missing & bit) {
+                bytes[a - addr] = s.old[a - s.addr];
+                missing &= ~bit;
+            }
         }
-        v |= std::uint64_t{byte} << (8 * i);
+        if (!missing)
+            break;
     }
+    if (missing == (1u << size) - 1) {
+        mem_.readBytes(addr, bytes, size);
+    } else {
+        for (unsigned i = 0; i < size; ++i)
+            if (missing & (1u << i))
+                mem_.readBytes(addr + i, &bytes[i], 1);
+    }
+    std::uint64_t v = 0;
+    for (unsigned i = 0; i < size; ++i)
+        v |= std::uint64_t{bytes[i]} << (8 * i);
     return v;
 }
 
@@ -57,19 +71,28 @@ CommitLog::committedRead(Addr addr, unsigned size) const
 void
 CommitLog::saveState(CkptWriter& w) const
 {
-    std::vector<Addr> addrs;
-    addrs.reserve(pending_.size());
-    for (const auto& [addr, entries] : pending_)
-        addrs.push_back(addr);
-    std::sort(addrs.begin(), addrs.end());
-    w.put<std::uint64_t>(addrs.size());
-    for (Addr a : addrs) {
-        const auto& entries = pending_.at(a);
+    // One (addr, seq, pre-store byte) per in-flight store byte, sorted.
+    std::vector<std::tuple<Addr, SeqNum, std::uint8_t>> bytes;
+    for (const PendingStore& s : fifo_)
+        for (unsigned i = 0; i < s.size; ++i)
+            bytes.emplace_back(s.addr + i, s.seq, s.old[i]);
+    std::sort(bytes.begin(), bytes.end());
+
+    std::uint64_t addrs = 0;
+    for (std::size_t i = 0; i < bytes.size(); ++i)
+        if (i == 0 || std::get<0>(bytes[i]) != std::get<0>(bytes[i - 1]))
+            ++addrs;
+    w.put<std::uint64_t>(addrs);
+    for (std::size_t i = 0; i < bytes.size();) {
+        const Addr a = std::get<0>(bytes[i]);
+        std::size_t j = i;
+        while (j < bytes.size() && std::get<0>(bytes[j]) == a)
+            ++j;
         w.put(a);
-        w.put<std::uint64_t>(entries.size());
-        for (const auto& [seq, byte] : entries) {
-            w.put(seq);
-            w.put(byte);
+        w.put<std::uint64_t>(j - i);
+        for (; i < j; ++i) {
+            w.put(std::get<1>(bytes[i]));
+            w.put(std::get<2>(bytes[i]));
         }
     }
 }
@@ -77,16 +100,31 @@ CommitLog::saveState(CkptWriter& w) const
 void
 CommitLog::loadState(CkptReader& r)
 {
-    pending_.clear();
+    // Regroup the per-byte records by store: seq-major, address order.
+    std::vector<std::tuple<SeqNum, Addr, std::uint8_t>> bytes;
     std::uint64_t n = r.get<std::uint64_t>();
     for (std::uint64_t i = 0; i < n; ++i) {
         Addr a = r.get<Addr>();
         std::uint64_t m = r.get<std::uint64_t>();
-        auto& entries = pending_[a];
         for (std::uint64_t j = 0; j < m; ++j) {
             SeqNum seq = r.get<SeqNum>();
-            entries[seq] = r.get<std::uint8_t>();
+            bytes.emplace_back(seq, a, r.get<std::uint8_t>());
         }
+    }
+    std::sort(bytes.begin(), bytes.end());
+
+    fifo_.clear();
+    for (std::size_t i = 0; i < bytes.size();) {
+        PendingStore s{};
+        s.seq = std::get<0>(bytes[i]);
+        s.addr = std::get<1>(bytes[i]);
+        for (; i < bytes.size() && std::get<0>(bytes[i]) == s.seq; ++i) {
+            if (std::get<1>(bytes[i]) != s.addr + s.size || s.size == 8)
+                r.fail("in-flight store seq " + std::to_string(s.seq) +
+                       " does not cover 1 to 8 contiguous bytes");
+            s.old[s.size++] = std::get<2>(bytes[i]);
+        }
+        fifo_.push_back(s);
     }
 }
 

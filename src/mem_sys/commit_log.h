@@ -13,9 +13,9 @@
 #ifndef PFM_MEM_SYS_COMMIT_LOG_H
 #define PFM_MEM_SYS_COMMIT_LOG_H
 
+#include <array>
 #include <cstdint>
-#include <map>
-#include <unordered_map>
+#include <deque>
 
 #include "common/types.h"
 #include "mem_sys/sim_memory.h"
@@ -33,10 +33,14 @@ class CommitLog
     /**
      * Record a store about to functionally execute. Must be called *before*
      * the bytes are written to SimMemory (it snapshots the old bytes).
+     * Stores are recorded in seq order, 1 to 8 bytes each.
      */
     void recordStore(SeqNum seq, Addr addr, unsigned size);
 
-    /** The store @p seq has retired; its bytes become architectural. */
+    /**
+     * The store @p seq has retired; its bytes become architectural. It
+     * must be the oldest in-flight store (stores retire in order).
+     */
     void retireStore(SeqNum seq, Addr addr, unsigned size);
 
     /**
@@ -45,17 +49,27 @@ class CommitLog
      */
     std::uint64_t committedRead(Addr addr, unsigned size) const;
 
-    /** Number of in-flight store bytes being tracked (for tests). */
-    size_t pendingBytes() const { return pending_.size(); }
-
+    /**
+     * The image is the historical per-byte layout (address-major, seq
+     * order within a byte), so replacing the byte map by a FIFO did not
+     * change checkpoint bytes.
+     */
     void saveState(CkptWriter& w) const;
     void loadState(CkptReader& r);
 
   private:
+    /** One in-flight store and the bytes it overwrote. */
+    struct PendingStore {
+        SeqNum seq;
+        Addr addr;
+        unsigned size;
+        std::array<std::uint8_t, 8> old; ///< pre-store bytes [0, size)
+    };
+
     SimMemory& mem_;
-    // Per byte address: in-flight stores ordered oldest-first, with the byte
-    // value *before* that store executed. Committed value = oldest entry.
-    std::unordered_map<Addr, std::map<SeqNum, std::uint8_t>> pending_;
+    // In-flight stores, oldest first: the committed value of a byte is the
+    // pre-store byte of the oldest store covering it, else memory's.
+    std::deque<PendingStore> fifo_;
 };
 
 } // namespace pfm

@@ -3,21 +3,27 @@
 #include "common/log.h"
 #include "sim/checkpoint.h"
 
+#include <algorithm>
 #include <ostream>
 
 namespace pfm {
 
 PfmSystem::PfmSystem(const PfmParams& params, Hierarchy& mem,
-                     const CommitLog& commit_log)
+                     const CommitLog& commit_log,
+                     const IssueUsage& lane_usage)
     : params_(params),
       mem_(mem),
       stats_("pfm."),
       ctr_fst_retired_hits_(stats_.counter("fst_retired_hits")),
       ctr_squash_packets_(stats_.counter("squash_packets")),
+      ctr_retired_in_roi_(stats_.counter("retired_in_roi")),
       fetch_agent_(params, stats_),
-      retire_agent_(params, stats_),
+      retire_agent_(params, stats_, lane_usage),
       load_agent_(params, mem, commit_log, stats_)
-{}
+{
+    rebuildSnoopFilter();
+    publishGate(kNoCycle);
+}
 
 PfmSystem::~PfmSystem()
 {
@@ -39,6 +45,55 @@ PfmSystem::setComponent(std::unique_ptr<CustomComponent> component)
         if (component_->wantsCacheEvents())
             mem_.setEventObserver(component_.get());
     }
+    rebuildSnoopFilter();
+    publishGate(0);
+}
+
+void
+PfmSystem::rebuildSnoopFilter()
+{
+    // A table wider than this (PCs spread over more than 4 MiB of code)
+    // is not built: the gate then delivers every call.
+    constexpr Addr kMaxSlots = Addr{1} << 20;
+
+    snoop_flags_.clear();
+    gate_.filtered = true;
+    gate_.pc_flags = nullptr;
+    gate_.pc_count = 0;
+    if (!component_)
+        return;
+    RetireSnoopTable& rst = retire_agent_.rst();
+    FetchSnoopTable& fst = fetch_agent_.fst();
+    Addr lo = ~Addr{0}, hi = 0;
+    auto span = [&lo, &hi](Addr pc) {
+        lo = std::min(lo, pc);
+        hi = std::max(hi, pc);
+    };
+    rst.forEachPc(span);
+    fst.forEachPc(span);
+    if (lo > hi)
+        return; // empty tables: nothing is snooped
+    const Addr slots = ((hi - lo) >> 2) + 1;
+    if (slots > kMaxSlots) {
+        gate_.filtered = false;
+        return;
+    }
+    snoop_flags_.assign(static_cast<std::size_t>(slots), 0);
+    rst.forEachPc([&](Addr pc) { snoop_flags_[(pc - lo) >> 2] |= kSnoopRst; });
+    fst.forEachPc([&](Addr pc) { snoop_flags_[(pc - lo) >> 2] |= kSnoopFst; });
+    gate_.pc_flags = snoop_flags_.data();
+    gate_.pc_base = lo;
+    gate_.pc_count = snoop_flags_.size();
+}
+
+void
+PfmSystem::publishGate(Cycle wake)
+{
+    gate_.wake = wake;
+    gate_.unsnooped_retired = component_ && retire_agent_.roiActive()
+                                  ? &ctr_retired_in_roi_
+                                  : nullptr;
+    gate_.unsnooped_from = reconfig_until_;
 }
 
 FetchOverride
@@ -93,6 +148,7 @@ PfmSystem::onRetire(const DynInst& d, Cycle now)
             component_->deliver(p, now);
         }
         ++stats_.counter("roi_begins");
+        publishGate(0);
     }
     return dec;
 }
@@ -118,9 +174,11 @@ PfmSystem::onSquash(Cycle now, SeqNum last_kept, const DynInst* branch)
 void
 PfmSystem::onCycle(Cycle now, unsigned free_ls_slots, const IssueUsage& usage)
 {
-    retire_agent_.setLaneUsage(usage);
-    if (!component_)
+    (void)usage; // the Retire Agent reads Core::laneUsage() directly
+    if (!component_) {
+        publishGate(kNoCycle);
         return;
+    }
 
     if (params_.context_switch_interval != 0) {
         if (next_context_switch_ == 0)
@@ -137,13 +195,39 @@ PfmSystem::onCycle(Cycle now, unsigned free_ls_slots, const IssueUsage& usage)
             component_->reset();
             ++stats_.counter("context_switches");
         }
-        if (now < reconfig_until_)
-            return; // fabric reconfiguring: no component this interval
+        if (now < reconfig_until_) {
+            // Fabric reconfiguring: no component this interval.
+            publishGate(wakeAfter(now));
+            return;
+        }
     }
 
     load_agent_.onCycle(now, free_ls_slots);
-    if (retire_agent_.roiActive() && now % params_.clk_div == 0)
+    if (retire_agent_.roiActive() &&
+        cdc::alignToEdge(now, params_.clk_div) == now)
         component_->step(now);
+    publishGate(wakeAfter(now));
+}
+
+Cycle
+PfmSystem::wakeAfter(Cycle now) const
+{
+    Cycle wake = kNoCycle;
+    auto consider = [&wake](Cycle c) {
+        if (c < wake)
+            wake = c;
+    };
+    if (params_.context_switch_interval != 0) {
+        consider(next_context_switch_);
+        if (now < reconfig_until_) {
+            consider(reconfig_until_);
+            return wake;
+        }
+    }
+    consider(load_agent_.nextEventCycle(now));
+    if (retire_agent_.roiActive())
+        consider(cdc::nextEdge(now, params_.clk_div));
+    return wake;
 }
 
 Cycle
@@ -198,16 +282,6 @@ PfmSystem::nextEventCycle(Cycle now) const
         }
     }
     return horizon;
-}
-
-void
-PfmSystem::onFastForward(Cycle from, Cycle to)
-{
-    (void)from;
-    (void)to;
-    // No lane issued during the gap: retire-side port-contention checks at
-    // the resume cycle must see idle prior-cycle usage.
-    retire_agent_.setLaneUsage(IssueUsage{});
 }
 
 Cycle
@@ -276,6 +350,7 @@ PfmSystem::beginRoiAtBoundary()
     retire_agent_.beginRoi();
     component_->reset();
     ++stats_.counter("roi_begins");
+    publishGate(0);
 }
 
 void
@@ -317,6 +392,8 @@ PfmSystem::loadState(CkptReader& r)
         }
         component_->loadState(r);
     }
+    rebuildSnoopFilter();
+    publishGate(0);
 }
 
 } // namespace pfm

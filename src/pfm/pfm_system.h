@@ -2,7 +2,10 @@
  * @file
  * PfmSystem glues the three Agents, the RF clocking and one custom
  * component to the core through the CoreHooks interface. It owns the
- * squash/squash-done protocol timing.
+ * squash/squash-done protocol timing, and declares through its HookGate
+ * which core events it needs (DESIGN.md §8 "Hook gating"): the PCs its
+ * snoop tables match, and the next cycle an agent or the component can
+ * act.
  */
 
 #ifndef PFM_PFM_PFM_SYSTEM_H
@@ -23,8 +26,9 @@ namespace pfm {
 class PfmSystem : public CoreHooks
 {
   public:
+    /** @p lane_usage: the core's Core::laneUsage() (Retire Agent portP). */
     PfmSystem(const PfmParams& params, Hierarchy& mem,
-              const CommitLog& commit_log);
+              const CommitLog& commit_log, const IssueUsage& lane_usage);
     ~PfmSystem() override;
 
     /**
@@ -50,7 +54,6 @@ class PfmSystem : public CoreHooks
     void onCycle(Cycle now, unsigned free_ls_slots,
                  const IssueUsage& usage) override;
     Cycle nextEventCycle(Cycle now) const override;
-    void onFastForward(Cycle from, Cycle to) override;
 
     /** Debug: dump agent + component state. */
     void dumpDebug(std::ostream& os) const;
@@ -90,18 +93,43 @@ class PfmSystem : public CoreHooks
     /** Squash/squash-done round trip: component rollback through its pipe. */
     Cycle squashDoneCycle(Cycle now) const;
 
+    /**
+     * Derive the gate's per-PC flag table from the RST and FST: kSnoopRst
+     * for RST PCs, kSnoopFst for FST PCs. Without a component no PC is
+     * flagged (every hook is a no-op then).
+     */
+    void rebuildSnoopFilter();
+
+    /**
+     * Publish the onCycle() wake cycle and the withheld-retirement
+     * accounting (retired_in_roi while the ROI is active, from the end
+     * of any reconfiguration window).
+     */
+    void publishGate(Cycle wake);
+
+    /**
+     * First cycle after onCycle(@p now) at which onCycle() can act: the
+     * Load Agent's next work (next cycle while IntQ-IS or staging holds
+     * anything, else the earliest MLB replay), the next RF edge while
+     * the ROI is active, and the context-switch and reconfiguration
+     * timers.
+     */
+    Cycle wakeAfter(Cycle now) const;
+
     PfmParams params_;
     Hierarchy& mem_; ///< event-tap installation point (wantsCacheEvents)
     StatGroup stats_;
     // Bound once; onRetire()/onSquash() are per-retirement paths.
     Counter& ctr_fst_retired_hits_;
     Counter& ctr_squash_packets_;
+    Counter& ctr_retired_in_roi_;
     Cycle next_context_switch_ = 0;
     Cycle reconfig_until_ = 0;
     FetchAgent fetch_agent_;
     RetireAgent retire_agent_;
     LoadAgent load_agent_;
     std::unique_ptr<CustomComponent> component_;
+    std::vector<std::uint8_t> snoop_flags_; ///< gate_.pc_flags storage
 };
 
 } // namespace pfm

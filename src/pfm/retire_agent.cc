@@ -7,13 +7,15 @@
 
 namespace pfm {
 
-RetireAgent::RetireAgent(const PfmParams& params, StatGroup& stats)
+RetireAgent::RetireAgent(const PfmParams& params, StatGroup& stats,
+                         const IssueUsage& lane_usage)
     : params_(params),
       stats_(stats),
       ctr_rst_hits_(stats.counter("rst_hits")),
       ctr_retired_in_roi_(stats.counter("retired_in_roi")),
       ctr_port_stalls_(stats.counter("port_stalls")),
-      obsq_r_(stats, "obsq_r", "ObsPacket", params.queue_size)
+      obsq_r_(stats, "obsq_r", "ObsPacket", params.queue_size),
+      usage_(lane_usage)
 {}
 
 bool
@@ -158,7 +160,9 @@ RetireAgent::loadState(CkptReader& r)
 {
     rst_.loadState(r);
     obsq_r_.loadState(r);
-    r.get(usage_);
+    // The lane usage is the core's, restored with the core section; the
+    // copy stays in the image so its layout is unchanged.
+    (void)r.get<IssueUsage>();
     r.get(roi_active_);
     counts_.clear();
     std::uint64_t n = r.get<std::uint64_t>();

@@ -23,7 +23,12 @@ namespace pfm {
 class RetireAgent
 {
   public:
-    RetireAgent(const PfmParams& params, StatGroup& stats);
+    /**
+     * @p lane_usage is the core's previous-cycle issue-lane usage at
+     * retire time (Core::laneUsage()), read by the portP check.
+     */
+    RetireAgent(const PfmParams& params, StatGroup& stats,
+                const IssueUsage& lane_usage);
 
     RetireSnoopTable& rst() { return rst_; }
 
@@ -35,9 +40,6 @@ class RetireAgent
      * boundary itself begins the ROI (see PfmSystem::beginRoiAtBoundary).
      */
     void beginRoi() { roi_active_ = true; }
-
-    /** Record the execution-lane usage of the previous cycle (for portP). */
-    void setLaneUsage(const IssueUsage& usage) { usage_ = usage; }
 
     /**
      * An instruction is about to retire. Fills @p decision; when the
@@ -78,7 +80,7 @@ class RetireAgent
     Counter& ctr_port_stalls_;
     RetireSnoopTable rst_;
     TimedPort<ObsPacket> obsq_r_;
-    IssueUsage usage_;
+    const IssueUsage& usage_;
     bool roi_active_ = false;
     std::unordered_map<Addr, std::uint64_t> counts_;
 };

@@ -67,6 +67,15 @@ class RetireSnoopTable
     void clear() { table_.clear(); }
     size_t size() const { return table_.size(); }
 
+    /** Call @p fn with every PC in the table (unordered). */
+    template <typename Fn>
+    void
+    forEachPc(Fn&& fn) const
+    {
+        for (const auto& [pc, entry] : table_)
+            fn(pc);
+    }
+
     void
     saveState(CkptWriter& w) const
     {
@@ -104,6 +113,15 @@ class FetchSnoopTable
     bool contains(Addr pc) const { return pcs_.count(pc) != 0; }
     void clear() { pcs_.clear(); }
     size_t size() const { return pcs_.size(); }
+
+    /** Call @p fn with every PC in the table (unordered). */
+    template <typename Fn>
+    void
+    forEachPc(Fn&& fn) const
+    {
+        for (Addr pc : pcs_)
+            fn(pc);
+    }
 
     void
     saveState(CkptWriter& w) const

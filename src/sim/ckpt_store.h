@@ -104,8 +104,10 @@ CkptBlobMeta ckptStorePut(const std::string& store_dir, std::uint64_t hash,
 /**
  * Load the raw payload of the blob at @p blob_path, expected to carry
  * @p hash / @p meta (from the referencing manifest). Validates magic,
- * header-vs-manifest metadata, stored length, decompression, raw CRC and
- * content hash; any mismatch is fatal naming @p ckpt_path and @p section.
+ * header-vs-manifest metadata, stored length, decompression and raw CRC;
+ * any mismatch is fatal naming @p ckpt_path and @p section. The content
+ * hash is not recomputed: the writer derived it from these raw bytes,
+ * and a payload that differs from them fails the CRC.
  * The returned buffer is shared with other concurrent loads of the same
  * blob via the process-wide hot-blob cache.
  */

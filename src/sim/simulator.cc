@@ -209,7 +209,8 @@ Simulator::attachComponent()
         return;
 
     pfm_ = std::make_unique<PfmSystem>(opt_.pfm, *mem_,
-                                       source_->commitLog());
+                                       source_->commitLog(),
+                                       core_->laneUsage());
 
     // Dispatch on the *workload's* name, not the option string, so
     // component=auto resolves identically for "bfs-roads" and a

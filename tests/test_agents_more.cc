@@ -196,7 +196,7 @@ class ComponentLogTest : public ::testing::Test
         : params_(),
           stats_("t."),
           fetch_(params_, stats_),
-          retire_(params_, stats_),
+          retire_(params_, stats_, usage_),
           mem_(HierarchyParams{}),
           log_(simmem_),
           load_(params_, mem_, log_, stats_)
@@ -209,6 +209,7 @@ class ComponentLogTest : public ::testing::Test
     PfmParams params_;
     StatGroup stats_;
     FetchAgent fetch_;
+    IssueUsage usage_;
     RetireAgent retire_;
     SimMemory simmem_;
     Hierarchy mem_;

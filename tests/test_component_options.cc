@@ -45,8 +45,8 @@ runAstarWith(const AstarPredictorOptions& opt)
     SimOptions o = quick("astar");
     o.component = "none"; // attach manually below
     Simulator sim(o);
-    auto pfm_sys = std::make_unique<PfmSystem>(o.pfm, sim.memory(),
-                                               sim.source().commitLog());
+    auto pfm_sys = std::make_unique<PfmSystem>(
+        o.pfm, sim.memory(), sim.source().commitLog(), sim.core().laneUsage());
     AstarPredictor::attach(*pfm_sys, sim.workload(), opt);
     sim.core().setHooks(pfm_sys.get());
     return sim.run();
@@ -108,7 +108,8 @@ TEST(AltOptions, UndersizedTablesAliasAndHurt)
     auto run_alt = [&o](unsigned table_bytes) {
         Simulator sim(o);
         auto pfm_sys = std::make_unique<PfmSystem>(
-            o.pfm, sim.memory(), sim.source().commitLog());
+            o.pfm, sim.memory(), sim.source().commitLog(),
+            sim.core().laneUsage());
         AstarAltOptions alt;
         alt.table_bytes = table_bytes;
         AstarAltPredictor::attach(*pfm_sys, sim.workload(), alt);

@@ -9,15 +9,23 @@
  * Fast-forward is a pure wall-clock optimisation; any observable
  * difference is a bug in a nextEventCycle() source (see DESIGN.md,
  * "Fast-forward invariants").
+ *
+ * The HookGating suite holds the PFM hooks' call gating to the same
+ * standard: a PfmSystem called only for the events it declares matches
+ * one called for every event (DESIGN.md §8 "Hook gating").
  */
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <memory>
 #include <sstream>
 #include <string>
 #include <vector>
 
 #include "identity.h"
+#include "passthrough_hooks.h"
+#include "sim/ckpt_store.h"
 #include "sim/options.h"
 #include "sim/simulator.h"
 
@@ -230,6 +238,140 @@ TEST(FastForward, ActuallySkipsCyclesOnStallHeavyRun)
         core.tick();
     }
     EXPECT_GT(skipped, 0u);
+}
+
+// ---------------------------------------------------------------------------
+// Hook gating (DESIGN.md §8): a PfmSystem called only for the events its
+// HookGate declares must end in the same machine state as one called for
+// every event. PassthroughHooks declares no gate, so installed over the
+// PfmSystem it delivers every call; the same run without it is gated.
+
+/** Install a PassthroughHooks over @p sim's PfmSystem. */
+std::unique_ptr<PassthroughHooks>
+installPassthrough(Simulator& sim)
+{
+    auto hooks = std::make_unique<PassthroughHooks>(*sim.pfm());
+    sim.core().setHooks(hooks.get());
+    return hooks;
+}
+
+TEST(HookGating, UngatedRunMatchesGatedAcrossConfigs)
+{
+    for (const FfConfig& cfg : kConfigs) {
+        if (std::string(cfg.component) == "none")
+            continue;
+        SCOPED_TRACE(cfg.name);
+
+        Simulator gated(ffOptions(cfg, true));
+        SimResult r_gated = gated.run();
+
+        Simulator ungated(ffOptions(cfg, true));
+        auto hooks = installPassthrough(ungated);
+        SimResult r_ungated = ungated.run();
+
+        expectSameRow(r_gated, r_ungated);
+        expectSameMachine(gated, ungated);
+        EXPECT_EQ(hooks->retired(), ungated.core().retired());
+    }
+}
+
+TEST(HookGating, PfmSystemDeclaresItsSnoopTables)
+{
+    SimOptions o;
+    o.workload = "astar";
+    Simulator sim(o);
+    const HookGate& gate = sim.pfm()->gate();
+    const Workload& w = sim.workload();
+    ASSERT_TRUE(gate.filtered);
+    // RST only: retire-side interest.
+    EXPECT_TRUE(gate.wants(w.pc("snoop_inbase"), kSnoopRst));
+    EXPECT_FALSE(gate.wants(w.pc("snoop_inbase"), kSnoopFst));
+    // In both tables: the fetched branch the Fetch Agent predicts.
+    EXPECT_TRUE(gate.wants(w.pc("br_way0"), kSnoopFst));
+    EXPECT_TRUE(gate.wants(w.pc("br_way0"), kSnoopRst));
+    // Outside both tables, and outside the flag table's span.
+    EXPECT_FALSE(gate.wants(w.pc("snoop_inbase") + 4, kSnoopRst | kSnoopFst));
+    EXPECT_FALSE(gate.wants(0, kSnoopRst | kSnoopFst));
+    // No cycle has run since the attach, so onCycle() is due at once.
+    EXPECT_EQ(gate.wake, 0u);
+}
+
+TEST(HookGating, DeferredAttachRestoreMatches)
+{
+    const std::string path =
+        ::testing::TempDir() + "hook_gating_defer.ckpt";
+    SimOptions warm;
+    warm.workload = "lbm";
+    warm.component = "none";
+    warm.warmup_instructions = 4000;
+    warm.max_instructions = 0;
+    warm.checkpoint_save = path;
+    Simulator(warm).run();
+
+    SimOptions leg;
+    leg.workload = "lbm";
+    leg.component = "auto";
+    leg.defer_component = true;
+    leg.warmup_instructions = 4000;
+    leg.max_instructions = 60'000;
+    leg.checkpoint_load = path;
+    applyTokens(leg, "clk8_w1 delay4 queue8 portLS1");
+
+    Simulator gated(leg);
+    SimResult r_gated = gated.run();
+
+    // The component attaches inside run(), after the restore, so the
+    // decorator goes in at the first cancellation poll that finds it:
+    // the run switches from gated to ungated midway.
+    SimOptions poll = leg;
+    std::unique_ptr<PassthroughHooks> hooks;
+    std::uint64_t retired_at_install = 0;
+    Simulator* ungated_sim = nullptr;
+    poll.cancel_poll = [&]() {
+        if (!hooks && ungated_sim->pfm()) {
+            hooks = installPassthrough(*ungated_sim);
+            retired_at_install = ungated_sim->core().retired();
+        }
+        return false;
+    };
+    Simulator ungated(poll);
+    ungated_sim = &ungated;
+    SimResult r_ungated = ungated.run();
+    ckptRemove(path);
+
+    ASSERT_NE(hooks, nullptr) << "run too short to reach a cancel poll";
+    EXPECT_LT(retired_at_install, ungated.core().retired());
+    expectSameRow(r_gated, r_ungated);
+    expectSameMachine(gated, ungated);
+    EXPECT_EQ(hooks->retired(),
+              ungated.core().retired() - retired_at_install);
+}
+
+TEST(HookGating, TraceReplayMatches)
+{
+    const std::string trace = ::testing::TempDir() + "hook_gating.pfmtrace";
+    SimOptions native;
+    native.workload = "bfs-roads";
+    native.component = "auto";
+    native.warmup_instructions = 5'000;
+    native.max_instructions = 20'000;
+    native.record_trace = trace;
+    Simulator(native).run();
+
+    SimOptions replay = native;
+    replay.workload = "trace:" + trace;
+    replay.record_trace.clear();
+
+    Simulator gated(replay);
+    SimResult r_gated = gated.run();
+    Simulator ungated(replay);
+    auto hooks = installPassthrough(ungated);
+    SimResult r_ungated = ungated.run();
+    std::remove(trace.c_str());
+
+    expectSameRow(r_gated, r_ungated);
+    expectSameMachine(gated, ungated);
+    EXPECT_EQ(hooks->retired(), ungated.core().retired());
 }
 
 } // namespace

@@ -17,6 +17,7 @@
 #include "mem_sys/commit_log.h"
 #include "mem_sys/sim_memory.h"
 #include "sim/checkpoint.h"
+#include "sim/ckpt_store.h"
 
 namespace pfm {
 namespace {
@@ -506,6 +507,89 @@ TEST(CommitLog, PartialOverlapIsByteAccurate)
     log.retireStore(5, 0x1002, 2);
     EXPECT_EQ(log.committedRead(0x1000, 8),
               std::uint64_t{0xBEEF} << 16);
+}
+
+TEST(CommitLogDeathTest, OutOfOrderRetireAborts)
+{
+    SimMemory mem;
+    CommitLog log(mem);
+    log.recordStore(1, 0x1000, 4);
+    log.recordStore(2, 0x2000, 4);
+    // Disjoint bytes, but store 1 is older: 2 cannot retire first.
+    EXPECT_DEATH(log.retireStore(2, 0x2000, 4),
+                 "stores must retire in order");
+}
+
+TEST(CommitLog, CheckpointRoundTripKeepsCommittedView)
+{
+    SimMemory mem;
+    CommitLog log(mem);
+    mem.write<std::uint64_t>(0x1000, 0x0807060504030201ull);
+    log.recordStore(3, 0x1002, 4);
+    mem.write<std::uint32_t>(0x1002, 0xAAAAAAAA);
+    log.recordStore(4, 0x1000, 8);
+    mem.write<std::uint64_t>(0x1000, ~0ull);
+    log.recordStore(6, 0x1005, 1);
+    mem.write<std::uint8_t>(0x1005, 0x55);
+
+    const std::string path = ::testing::TempDir() + "commit_log.ckpt";
+    CkptWriter w(path);
+    w.writeHeader(CkptHeader{});
+    w.beginSection("log");
+    log.saveState(w);
+    w.endSection();
+    w.finish();
+
+    CommitLog restored(mem);
+    CkptReader r(path);
+    r.readHeader();
+    r.beginSection("log");
+    restored.loadState(r);
+    r.endSection();
+    ckptRemove(path);
+
+    for (Addr a = 0x0FFE; a < 0x100A; ++a)
+        for (unsigned size = 1; size <= 8; ++size)
+            ASSERT_EQ(restored.committedRead(a, size),
+                      log.committedRead(a, size))
+                << a << "/" << size;
+    // The FIFO came back in seq order: the stores retire as recorded.
+    restored.retireStore(3, 0x1002, 4);
+    restored.retireStore(4, 0x1000, 8);
+    restored.retireStore(6, 0x1005, 1);
+    EXPECT_EQ(restored.committedRead(0x1000, 8), mem.read<std::uint64_t>(0x1000));
+}
+
+TEST(CommitLogDeathTest, NonContiguousStoreBytesAreFatal)
+{
+    // The per-byte image names store 7 at 0x1000 and 0x1002: no store
+    // covers a gap, so the loader must refuse it.
+    const std::string path = ::testing::TempDir() + "commit_log_gap.ckpt";
+    CkptWriter w(path);
+    w.writeHeader(CkptHeader{});
+    w.beginSection("log");
+    w.put<std::uint64_t>(2);
+    for (Addr a : {Addr{0x1000}, Addr{0x1002}}) {
+        w.put(a);
+        w.put<std::uint64_t>(1);
+        w.put<SeqNum>(7);
+        w.put<std::uint8_t>(0);
+    }
+    w.endSection();
+    w.finish();
+
+    auto load = [&path] {
+        SimMemory mem;
+        CommitLog log(mem);
+        CkptReader r(path);
+        r.readHeader();
+        r.beginSection("log");
+        log.loadState(r);
+    };
+    EXPECT_EXIT(load(), ::testing::ExitedWithCode(1),
+                "in-flight store seq 7 does not cover 1 to 8 contiguous "
+                "bytes \\(section 'log'\\)");
+    ckptRemove(path);
 }
 
 TEST(EngineCommitLog, EngineRecordsStoresInLog)

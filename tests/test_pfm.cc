@@ -223,7 +223,7 @@ TEST_F(LoadAgentTest, NoFreeSlotsNoInjection)
 class RetireAgentTest : public ::testing::Test
 {
   protected:
-    RetireAgentTest() : stats_("t."), agent_(pparams(), stats_)
+    RetireAgentTest() : stats_("t."), agent_(pparams(), stats_, usage_)
     {
         prog_ = assemble("a: addi x1, x0, 5\n"
                          "b: sd x1, 0(x2)\n"
@@ -252,6 +252,7 @@ class RetireAgentTest : public ::testing::Test
         return d;
     }
 
+    IssueUsage usage_; ///< stands in for Core::laneUsage()
     StatGroup stats_;
     RetireAgent agent_;
     Program prog_;
@@ -311,20 +312,19 @@ TEST_F(RetireAgentTest, PortLs1NeedsIdleLsLane)
     PfmParams p = pparams();
     p.port = PortPolicy::kLs1;
     StatGroup st("p.");
-    RetireAgent a(p, st);
+    IssueUsage usage;
+    RetireAgent a(p, st, usage);
     RstEntry begin;
     begin.roi_begin = true;
     a.rst().add(prog_.pcOf(0), begin);
 
-    IssueUsage busy;
-    busy.ls = 1;
-    a.setLaneUsage(busy);
+    usage.ls = 1; // an LS lane read the PRF last cycle
     RetireDecision dec;
     bool roi;
     a.onRetire(dyn(0, 1), 10, dec, roi);
     EXPECT_FALSE(dec.allow); // dest-value packet needs the LS port
 
-    a.setLaneUsage(IssueUsage{});
+    usage = IssueUsage{};
     a.onRetire(dyn(0, 1), 11, dec, roi);
     EXPECT_TRUE(dec.allow);
 }

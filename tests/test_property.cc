@@ -178,9 +178,13 @@ TEST(CommitLogProperty, RandomizedStoreRetireSequences)
 
     Rng rng(99);
     SeqNum seq = 0;
-    for (int step = 0; step < 30000; ++step) {
+    for (int step = 0; step < 60000; ++step) {
+        // The second half packs unaligned stores into 24 bytes, so most
+        // stores partially overlap older in-flight ones.
+        const bool dense = step >= 30000;
+        const Addr span = dense ? 24 : 256;
         if (pending.size() < 50 && rng.chance(0.6)) {
-            Addr a = 0x1000 + rng.below(256);
+            Addr a = 0x1000 + rng.below(span);
             unsigned size = 1u << rng.below(4);
             std::uint64_t v = rng.next();
             log.recordStore(seq, a, size);
@@ -195,9 +199,10 @@ TEST(CommitLogProperty, RandomizedStoreRetireSequences)
                 committed[p.addr + i] =
                     static_cast<std::uint8_t>(p.value >> (8 * i));
         }
-        // Spot-check random committed reads.
-        Addr a = 0x1000 + rng.below(256);
-        unsigned size = 1u << rng.below(4);
+        // Spot-check random committed reads; dense reads are 1 to 8
+        // bytes at any offset, so they straddle store edges.
+        Addr a = 0x1000 + rng.below(span);
+        unsigned size = dense ? 1 + rng.below(8) : 1u << rng.below(4);
         std::uint64_t expect = 0;
         for (unsigned i = 0; i < size; ++i)
             expect |= std::uint64_t{committed_byte(a + i)} << (8 * i);
